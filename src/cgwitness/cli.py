@@ -19,7 +19,6 @@ from .bound import entropic_bound_constant, shared_bound_table
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError
 from .ingest import (
     OpticalGeometry,
-    ensure_matching_geometry,
     load_joint_counts,
     save_joint_counts,
 )
@@ -30,7 +29,7 @@ from .model import (
     sample_joint_counts,
     sample_marginal_counts,
 )
-from .uncertainty import ErrorModel, WitnessPipeline, propagate
+from .uncertainty import ErrorModel, sweep_grid
 from .witnesses import (
     DATA_WITNESS_IDS,
     coarse_variance_witness,
@@ -38,7 +37,6 @@ from .witnesses import (
 )
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
-_PAIR_INDEX = {"pm": 0, "mp": 1}
 
 
 def _fmt(x: float) -> str:
@@ -149,7 +147,6 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(
             "sweep expects the position-scan file first and the momentum-scan file second"
         )
-    ensure_matching_geometry(position, momentum)
     n_list = _parse_factor_list(args.n_list, "--n-list")
     m_list = _parse_factor_list(args.m_list, "--m-list")
     pairings = ["pm", "mp"] if args.pairing == "both" else [args.pairing]
@@ -162,32 +159,39 @@ def cmd_sweep(args) -> int:
             )
     if not witness_ids:
         raise ConfigurationError("--witnesses must not be empty")
-    table = shared_bound_table()
-    use_errors = args.errors == "on"
+    error_model = None
+    if args.errors == "on":
+        error_model = ErrorModel(replicates=args.replicates, seed=args.seed)
+    grid = sweep_grid(
+        position,
+        momentum,
+        n_list,
+        m_list,
+        error_model,
+        pairings=pairings,
+        witness_ids=witness_ids,
+        bound_table=shared_bound_table(),
+    )
     rows = []
-    for n in n_list:
-        for m in m_list:
-            for pairing in pairings:
-                cell_seed = np.random.SeedSequence(
-                    args.seed, spawn_key=(n, m, _PAIR_INDEX[pairing])
-                )
-                for witness_id in witness_ids:
-                    pipeline = WitnessPipeline(witness_id, pairing, n, m)
-                    if use_errors:
-                        em = ErrorModel(replicates=args.replicates, seed=cell_seed)
-                        report = propagate(position, momentum, pipeline, em, bound_table=table)
-                        detected = report.value + args.detect_nsigma * report.uncertainty < 0
+    for pairing in pairings:
+        for witness_id in witness_ids:
+            values, uncertainties = grid[pairing, witness_id]
+            for i, n in enumerate(n_list):
+                for j, m in enumerate(m_list):
+                    value = float(values[i, j])
+                    if uncertainties is None:
+                        uncertainty, detected = None, value < 0
                     else:
-                        report = pipeline.evaluate(position, momentum, bound_table=table)
-                        detected = report.value < 0
+                        uncertainty = float(uncertainties[i, j])
+                        detected = value + args.detect_nsigma * uncertainty < 0
                     rows.append(
                         {
                             "n": n,
                             "m": m,
                             "pairing": pairing,
                             "witness_id": witness_id,
-                            "value": report.value,
-                            "uncertainty": report.uncertainty,
+                            "value": value,
+                            "uncertainty": uncertainty,
                             "detected": detected,
                         }
                     )

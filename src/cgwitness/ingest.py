@@ -29,6 +29,7 @@ _GEOMETRY_KEYS = (
     "micrometer_step_mm",
 )
 _REQUIRED_KEYS = ("variable_pair", "step_mm") + _GEOMETRY_KEYS
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,19 @@ def load_joint_counts(path) -> JointCounts:
     """Parse a scan file, validating headers and the count matrix.
 
     Raises ParseError (with the offending line number) on missing or
-    malformed headers, non-integer or negative counts, and ragged rows.
+    malformed headers, text that is not UTF-8, non-integer or negative
+    counts, counts above the int64 range, and ragged rows.
     """
     header: dict[str, str] = {}
     rows: list[list[int]] = []
     row_len = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ParseError("line is not UTF-8 text", line_number=lineno) from None
             if not line:
                 continue
             if line.startswith("#"):
@@ -196,6 +202,8 @@ def load_joint_counts(path) -> JointCounts:
                 raise ParseError(f"non-integer count in {line!r}", line_number=lineno) from None
             if any(v < 0 for v in row):
                 raise ParseError("negative count", line_number=lineno)
+            if max(row) > _MAX_COUNT:
+                raise ParseError(f"count above {_MAX_COUNT}", line_number=lineno)
             if row_len is None:
                 row_len = len(row)
             elif len(row) != row_len:

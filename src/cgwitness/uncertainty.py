@@ -15,8 +15,22 @@ The micrometer-step model for the center errors, at rebin factors (n, m):
     sigma_position(n) = step * sqrt(2) * n * (f1/f2)
     sigma_momentum(m) = step * sqrt(2) * (2*m*pi / (f3*lambda))
 
-Replicates are batched through the compiled moment/entropy kernels, so
-1000 replicates cost about as much as one witness on a 1000-row array.
+Every data witness combines one statistic of a rebinned position marginal
+with one of a rebinned momentum marginal, so `sweep_grid` resamples and
+reduces each marginal once per (axis, sign, factor), to per-replicate
+variances and entropies of shape (B,), and builds every (n, m, pairing,
+witness) cell by broadcasting those arrays through one formula per witness.
+The point estimate is the same formula on the B = 1 row of the unperturbed
+masses, and `propagate` is the 1x1 case. Replicates resample only the
+occupied bins, which is exact: Poisson(0) always draws 0.
+
+Random streams: the marginal of scan axis a (0 position, 1 momentum),
+diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
+from SeedSequence(seed, spawn_key=(a, s, f, 0)) and its center jitter from
+spawn key (a, s, f, 1), where seed is ErrorModel.seed (a SeedSequence
+seed extends its own spawn key). The counts therefore do not depend on the
+jitter settings, jitter is drawn only when a variance witness is requested,
+and a cell's uncertainty does not depend on which other cells are swept.
 """
 
 from __future__ import annotations
@@ -43,6 +57,12 @@ from .witnesses import (
     coarse_variance_witness,
     naive_discrete_witness,
 )
+
+#: pairing token -> diagonal signs of its (position, momentum) marginals
+_PAIRING_SIGNS = {"pm": ("+", "-"), "mp": ("-", "+")}
+_AXIS_INDEX = {"position": 0, "momentum": 1}
+_SIGN_INDEX = {"+": 0, "-": 1}
+_COUNTS_STREAM, _JITTER_STREAM = 0, 1
 
 
 @dataclass(frozen=True)
@@ -82,6 +102,13 @@ class ErrorModel:
         )
 
 
+def _check_scan_order(position: JointCounts, momentum: JointCounts) -> None:
+    if position.variable_pair != "position":
+        raise ConfigurationError("first scan must have variable_pair=position")
+    if momentum.variable_pair != "momentum":
+        raise ConfigurationError("second scan must have variable_pair=momentum")
+
+
 @dataclass(frozen=True)
 class WitnessPipeline:
     """Full recipe from two joint scans to one witness value.
@@ -110,11 +137,8 @@ class WitnessPipeline:
 
     def marginals(self, position: JointCounts, momentum: JointCounts):
         """Rebinned (R, S) marginal count histograms for this pipeline."""
-        if position.variable_pair != "position":
-            raise ConfigurationError("first scan must have variable_pair=position")
-        if momentum.variable_pair != "momentum":
-            raise ConfigurationError("second scan must have variable_pair=momentum")
-        sign_r, sign_s = ("+", "-") if self.pairing == "pm" else ("-", "+")
+        _check_scan_order(position, momentum)
+        sign_r, sign_s = _PAIRING_SIGNS[self.pairing]
         r = rebin_marginal(global_marginal(position, sign_r), self.n)
         s = rebin_marginal(global_marginal(momentum, sign_s), self.m)
         return r, s
@@ -139,65 +163,196 @@ class WitnessPipeline:
         return naive_discrete_witness(r.normalize(), s.normalize(), **kwargs)
 
 
-def _replicate_values(
-    pipeline: WitnessPipeline,
-    r0: CountHistogram,
-    s0: CountHistogram,
-    geometry: OpticalGeometry,
-    error_model: ErrorModel,
-    bound_table: BoundTable | None,
-) -> np.ndarray:
-    em = error_model
+@dataclass(frozen=True)
+class _MarginalStats:
+    """Statistics of one rebinned marginal, one entry per replicate.
+
+    kept marks the replicates whose counts drew a positive total. variance
+    (discrete, over the bin centers) and entropy (discrete, in nats) are NaN
+    where kept is False, and None when no requested witness needs them.
+    """
+
+    width: float
+    kept: np.ndarray
+    variance: np.ndarray | None
+    entropy: np.ndarray | None
+
+    def witness_input(self, witness_id: str) -> np.ndarray:
+        """What this marginal contributes to the given witness."""
+        if witness_id == "coarse_variance":
+            return self.variance + self.width**2 / 12.0
+        if witness_id == "coarse_entropic":
+            return self.entropy + math.log(self.width)
+        return self.variance
+
+
+def _witness_value(witness_id: str, x_r, x_s, log_bound):
+    """A data witness from its two marginal inputs; broadcasts over arrays."""
+    if witness_id == "coarse_entropic":
+        return x_r + x_s + log_bound
+    return x_r * x_s - 1.0
+
+
+def _reduce(
+    width: float,
+    weights: np.ndarray,
+    centers: np.ndarray,
+    need_variance: bool,
+    need_entropy: bool,
+) -> _MarginalStats:
+    """Statistics of each row of weights (B, K) over centers, (K,) or (B, K)."""
+    kept = weights.sum(axis=1) > 0
+    if not kept.all():
+        weights = weights[kept]
+        if centers.ndim == 2:
+            centers = centers[kept]
+    variance = entropy = None
+    if need_variance:
+        variance = np.full(kept.shape, np.nan)
+        variance[kept] = batch_weighted_moments(weights, centers)[1]
+    if need_entropy:
+        entropy = np.full(kept.shape, np.nan)
+        entropy[kept] = batch_entropy(weights)
+    return _MarginalStats(width, kept, variance, entropy)
+
+
+def _stream(root: np.random.SeedSequence, key: tuple) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + key)
+    )
+
+
+def _replicate_stats(
+    h: CountHistogram,
+    key: tuple,
+    sigma: float,
+    em: ErrorModel,
+    root: np.random.SeedSequence,
+    need_variance: bool,
+    need_entropy: bool,
+) -> _MarginalStats:
+    """Resample the occupied bins of h em.replicates times and reduce each replicate."""
     b = em.replicates
-    seed = em.seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
+    occupied = h.counts > 0
+    counts = h.counts[occupied]
+    centers = h.grid.centers[occupied]
     if em.poisson:
-        r_rep = rng.poisson(r0.counts, size=(b, r0.counts.size))
-        s_rep = rng.poisson(s0.counts, size=(b, s0.counts.size))
+        draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=(b, counts.size))
+        weights = draws.astype(np.float64)
     else:
-        r_rep = np.broadcast_to(r0.counts, (b, r0.counts.size))
-        s_rep = np.broadcast_to(s0.counts, (b, s0.counts.size))
-    centers_r = np.broadcast_to(r0.grid.centers, (b, r0.grid.n_bins))
-    centers_s = np.broadcast_to(s0.grid.centers, (b, s0.grid.n_bins))
-    if em.center_jitter:
-        sig_r = em.center_sigma_position(pipeline.n, geometry)
-        sig_s = em.center_sigma_momentum(pipeline.m, geometry)
-        shape_r = (b, 1) if em.rigid_offsets else (b, r0.grid.n_bins)
-        shape_s = (b, 1) if em.rigid_offsets else (b, s0.grid.n_bins)
-        centers_r = centers_r + rng.normal(0.0, sig_r, size=shape_r)
-        centers_s = centers_s + rng.normal(0.0, sig_s, size=shape_s)
+        weights = np.broadcast_to(counts.astype(np.float64), (b, counts.size))
+    if need_variance and em.center_jitter:
+        shape = (b, 1) if em.rigid_offsets else (b, counts.size)
+        centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(0.0, sigma, size=shape)
+    return _reduce(h.grid.width, weights, centers, need_variance, need_entropy)
 
-    keep = (r_rep.sum(axis=1) > 0) & (s_rep.sum(axis=1) > 0)
-    discarded = b - int(keep.sum())
-    if discarded > 0.1 * b:
-        raise PropagationError(
-            f"{discarded} of {b} replicates drew zero total counts; "
-            "data too sparse for Monte Carlo propagation"
-        )
-    if b - discarded < 2:
-        raise PropagationError("fewer than 2 usable replicates")
-    r_w = np.ascontiguousarray(r_rep[keep], dtype=np.float64)
-    s_w = np.ascontiguousarray(s_rep[keep], dtype=np.float64)
-    centers_r = np.ascontiguousarray(np.broadcast_to(centers_r, (b, r0.grid.n_bins))[keep])
-    centers_s = np.ascontiguousarray(np.broadcast_to(centers_s, (b, s0.grid.n_bins))[keep])
 
-    w_r, w_s = r0.grid.width, s0.grid.width
-    if pipeline.witness_id == "coarse_entropic":
-        h_r = batch_entropy(r_w) + math.log(w_r)
-        h_s = batch_entropy(s_w) + math.log(w_s)
-        if bound_table is not None:
-            bound = bound_table.value(w_r * w_s)
-        else:
-            bound = entropic_bound_constant(w_r * w_s)
-        return h_r + h_s + math.log(bound)
-    _, var_r = batch_weighted_moments(r_w, centers_r)
-    _, var_s = batch_weighted_moments(s_w, centers_s)
-    if pipeline.witness_id == "coarse_variance":
-        var_r = var_r + w_r * w_r / 12.0
-        var_s = var_s + w_s * w_s / 12.0
-    return var_r * var_s - 1.0
+def _kept_std(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """ddof=1 standard deviation along the last axis over the kept entries."""
+    k = keep.sum(axis=-1)
+    mean = np.where(keep, values, 0.0).sum(axis=-1) / k
+    dev = np.where(keep, values - mean[..., None], 0.0)
+    return np.sqrt((dev * dev).sum(axis=-1) / (k - 1))
+
+
+def sweep_grid(
+    position: JointCounts,
+    momentum: JointCounts,
+    n_list,
+    m_list,
+    error_model: ErrorModel | None = None,
+    *,
+    pairings=tuple(PAIRINGS),
+    witness_ids=DATA_WITNESS_IDS,
+    bound_table: BoundTable | None = None,
+) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray | None]]:
+    """Witness values, and optionally standard errors, over a grid of rebin factors.
+
+    Returns {(pairing, witness_id): (values, uncertainties)}, each a
+    (len(n_list), len(m_list)) array whose entry [i, j] belongs to
+    WitnessPipeline(witness_id, pairing, n_list[i], m_list[j]).
+    uncertainties is None without an error model; otherwise it is the
+    ddof=1 standard deviation of the witness over the replicates in which
+    both marginals drew a positive total. A cell that discards more than
+    10% of its replicates, or keeps fewer than 2, raises PropagationError.
+    Deterministic for a fixed ErrorModel.seed.
+    """
+    _check_scan_order(position, momentum)
+    ensure_matching_geometry(position, momentum)
+    em = error_model
+    root = None
+    if em is not None:
+        root = em.seed if isinstance(em.seed, np.random.SeedSequence) else np.random.SeedSequence(em.seed)
+    need_variance = any(w != "coarse_entropic" for w in witness_ids)
+    need_entropy = "coarse_entropic" in witness_ids
+
+    def marginal_stats(jc: JointCounts, sign: str, factors):
+        base = global_marginal(jc, sign)
+        points, replicates = [], []
+        for f in factors:
+            h = rebin_marginal(base, f)
+            d = h.normalize()
+            points.append(
+                _reduce(d.grid.width, d.masses[None, :], d.grid.centers, need_variance, need_entropy)
+            )
+            if em is not None:
+                key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
+                if jc.variable_pair == "position":
+                    sigma = em.center_sigma_position(f, jc.geometry)
+                else:
+                    sigma = em.center_sigma_momentum(f, jc.geometry)
+                replicates.append(
+                    _replicate_stats(h, key, sigma, em, root, need_variance, need_entropy)
+                )
+        return points, replicates
+
+    def stacked(stats, witness_id):
+        return np.stack([st.witness_input(witness_id) for st in stats])
+
+    log_bound = None
+    out = {}
+    for pairing in pairings:
+        sign_r, sign_s = _PAIRING_SIGNS[pairing]
+        r_point, r_reps = marginal_stats(position, sign_r, n_list)
+        s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
+        if need_entropy and log_bound is None:
+            bound = bound_table.value if bound_table is not None else entropic_bound_constant
+            log_bound = np.array(
+                [[math.log(bound(r.width * s.width)) for s in s_point] for r in r_point]
+            )[:, :, None]
+        if em is not None:
+            keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
+                [st.kept for st in s_reps]
+            )[None, :, :]
+            discarded = em.replicates - keep.sum(axis=-1)
+            i, j = np.unravel_index(np.argmax(discarded), discarded.shape)
+            if discarded[i, j] > 0.1 * em.replicates:
+                raise PropagationError(
+                    f"{discarded[i, j]} of {em.replicates} replicates drew zero total "
+                    f"counts at n={n_list[i]}, m={m_list[j]}, pairing {pairing}; "
+                    "data too sparse for Monte Carlo propagation"
+                )
+            if em.replicates - discarded[i, j] < 2:
+                raise PropagationError("fewer than 2 usable replicates")
+        for witness_id in witness_ids:
+            lb = log_bound if witness_id == "coarse_entropic" else None
+            values = _witness_value(
+                witness_id,
+                stacked(r_point, witness_id)[:, None, :],
+                stacked(s_point, witness_id)[None, :, :],
+                lb,
+            )[:, :, 0]
+            uncertainties = None
+            if em is not None:
+                replicate_values = _witness_value(
+                    witness_id,
+                    stacked(r_reps, witness_id)[:, None, :],
+                    stacked(s_reps, witness_id)[None, :, :],
+                    lb,
+                )
+                uncertainties = _kept_std(replicate_values, keep)
+            out[pairing, witness_id] = (values, uncertainties)
+    return out
 
 
 def propagate(
@@ -215,12 +370,19 @@ def propagate(
     replicates, each with (optionally) Poisson-resampled marginal counts
     and Gaussian-jittered bin centers. Replicates whose resampled total is
     zero are discarded; more than 10% discards raises PropagationError.
-    Deterministic for a fixed ErrorModel.seed.
+    Deterministic for a fixed ErrorModel.seed. The one-cell case of
+    sweep_grid, so it draws the same random numbers as that cell of a sweep.
     """
-    ensure_matching_geometry(position, momentum)
-    base = pipeline.evaluate(position, momentum, bound_table=bound_table)
-    r0, s0 = pipeline.marginals(position, momentum)
-    values = _replicate_values(
-        pipeline, r0, s0, position.geometry, error_model, bound_table
+    grid = sweep_grid(
+        position,
+        momentum,
+        [pipeline.n],
+        [pipeline.m],
+        error_model,
+        pairings=(pipeline.pairing,),
+        witness_ids=(pipeline.witness_id,),
+        bound_table=bound_table,
     )
-    return replace(base, uncertainty=float(np.std(values, ddof=1)))
+    _, uncertainty = grid[pipeline.pairing, pipeline.witness_id]
+    base = pipeline.evaluate(position, momentum, bound_table=bound_table)
+    return replace(base, uncertainty=float(uncertainty[0, 0]))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgwitness
 from cgwitness.cli import main
 
 
@@ -128,6 +133,56 @@ class TestSweep:
         ]
         assert all("coarse_entropic" in l for l in body)
 
+    def test_point_values_match_single_cell_witnesses(self, tmp_path):
+        from cgwitness import (
+            WitnessPipeline,
+            coarse_entropic_witness,
+            coarse_variance_witness,
+            load_joint_counts,
+            naive_discrete_witness,
+            shared_bound_table,
+        )
+
+        pos, mom = _simulate(tmp_path)
+        out_file = tmp_path / "sweep.json"
+        assert main([
+            "sweep", str(pos), str(mom), "--errors", "off",
+            "--format", "json", "--output", str(out_file),
+        ]) == 0
+        rows = json.loads(out_file.read_text())["sweep"]
+        assert len(rows) == 11 * 11 * 2 * 3
+        position, momentum = load_joint_counts(pos), load_joint_counts(mom)
+        table = shared_bound_table()
+        for row in rows:
+            pipe = WitnessPipeline(row["witness_id"], row["pairing"], row["n"], row["m"])
+            r, s = (h.normalize() for h in pipe.marginals(position, momentum))
+            if row["witness_id"] == "coarse_entropic":
+                want = coarse_entropic_witness(r, s, pairing=row["pairing"], bound_table=table)
+            elif row["witness_id"] == "coarse_variance":
+                want = coarse_variance_witness(r, s, pairing=row["pairing"])
+            else:
+                want = naive_discrete_witness(r, s, pairing=row["pairing"])
+            assert "%.12g" % row["value"] == "%.12g" % want.value, row
+
+    def test_entropic_uncertainty_independent_of_other_witnesses(self, tmp_path):
+        pos, mom = _simulate(tmp_path)
+        uncertainties = []
+        for witnesses in ("coarse_entropic", "coarse_variance,coarse_entropic,naive_discrete"):
+            out_file = tmp_path / "sweep.json"
+            assert main([
+                "sweep", str(pos), str(mom),
+                "--n-list", "1,3,7", "--m-list", "1,5",
+                "--replicates", "150", "--seed", "4", "--witnesses", witnesses,
+                "--format", "json", "--output", str(out_file),
+            ]) == 0
+            rows = json.loads(out_file.read_text())["sweep"]
+            uncertainties.append({
+                (r["n"], r["m"], r["pairing"]): r["uncertainty"]
+                for r in rows if r["witness_id"] == "coarse_entropic"
+            })
+        assert len(uncertainties[0]) == 3 * 2 * 2
+        assert uncertainties[0] == uncertainties[1]
+
 
 class TestDemoFalsePositive:
     def test_analytic_anchor_values(self, capsys):
@@ -235,3 +290,43 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "numerical" in capsys.readouterr().err
+
+    def test_starved_replicates_fail_the_full_default_grid(self, tmp_path, capsys):
+        import cgwitness as cg
+
+        geo = cg.OpticalGeometry()
+        ones = np.zeros((3, 3), dtype=np.int64)
+        ones[1, 1] = 1
+        for pair, step, name in (
+            ("position", geo.s_x_mm, "pos.txt"),
+            ("momentum", geo.s_p_mm, "mom.txt"),
+        ):
+            jc = cg.JointCounts(variable_pair=pair, step=step, counts=ones, geometry=geo)
+            cg.save_joint_counts(jc, tmp_path / name)
+        out_file = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", str(tmp_path / "pos.txt"), str(tmp_path / "mom.txt"),
+            "--output", str(out_file),
+        ])
+        assert code == 3
+        assert "numerical" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "bad_token", [b"9223372036854775808", b"\xff"], ids=["above_int64", "non_utf8"]
+    )
+    def test_unreadable_count_exits_2_without_traceback(self, tmp_path, bad_token):
+        pos, mom = _simulate(tmp_path)
+        lines = pos.read_bytes().splitlines()
+        lines[-1] = bad_token + lines[-1][lines[-1].index(b","):]
+        pos.write_bytes(b"\n".join(lines) + b"\n")
+        src = str(Path(cgwitness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgwitness", "sweep", str(pos), str(mom), "--errors", "off"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"line {len(lines)}" in proc.stderr

@@ -220,6 +220,19 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             load_joint_counts(path)
 
+    def test_count_above_int64_reports_line_number(self, tmp_path):
+        path = _write(tmp_path, self._header() + "1,2\n3,9223372036854775808\n")
+        with pytest.raises(ParseError) as exc:
+            load_joint_counts(path)
+        assert exc.value.line_number == 11
+
+    def test_non_utf8_bytes_report_line_number(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(self._header().encode() + b"1,2\n3,\xff4\n")
+        with pytest.raises(ParseError) as exc:
+            load_joint_counts(path)
+        assert exc.value.line_number == 11
+
 
 class TestGeometryMatching:
     def test_matching_passes(self, entangled_state, geometry):

@@ -8,6 +8,7 @@ from cgwitness import (
     GaussianTwoPhotonState,
     JointCounts,
     WitnessPipeline,
+    entropic_bound_constant,
     propagate,
     sample_joint_counts,
 )
@@ -16,6 +17,7 @@ from cgwitness.errors import (
     InvalidParameterError,
     PropagationError,
 )
+from cgwitness.uncertainty import sweep_grid
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +186,76 @@ class TestPropagate:
         pipe = WitnessPipeline(witness_id="coarse_variance")
         with pytest.raises(ConfigurationError):
             propagate(pos, mom, pipe, ErrorModel(replicates=150, fast_mode=True))
+
+
+def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicates, rng):
+    """Per-cell Poisson + per-bin center jitter resampling, coded from scratch."""
+    r, s = WitnessPipeline(witness_id, pairing, n, m).marginals(pos, mom)
+    step = geometry.micrometer_step_mm
+    sigmas = (
+        step * math.sqrt(2) * n * geometry.f1_mm / geometry.f2_mm,
+        step * math.sqrt(2) * 2 * m * math.pi / (geometry.f3_mm * geometry.lambda_mm),
+    )
+    stats = []
+    for h, sigma in zip((r, s), sigmas):
+        c = rng.poisson(h.counts, size=(replicates, h.counts.size)).astype(float)
+        q = c / c.sum(axis=1, keepdims=True)
+        w = h.grid.width
+        if witness_id == "coarse_entropic":
+            logs = np.log(np.where(q > 0, q, 1.0))
+            stats.append(-(q * logs).sum(axis=1) + math.log(w))
+        else:
+            x = h.grid.centers + rng.normal(0.0, sigma, size=c.shape)
+            mu = (q * x).sum(axis=1)
+            var = (q * (x - mu[:, None]) ** 2).sum(axis=1)
+            stats.append(var + w * w / 12.0 if witness_id == "coarse_variance" else var)
+    if witness_id == "coarse_entropic":
+        bound = entropic_bound_constant(r.grid.width * s.grid.width)
+        values = stats[0] + stats[1] + math.log(bound)
+    else:
+        values = stats[0] * stats[1] - 1.0
+    return float(np.std(values, ddof=1))
+
+
+class TestSweepGrid:
+    CELLS = ((1, 1, "pm"), (5, 3, "mp"), (9, 7, "pm"))
+
+    @pytest.mark.parametrize("witness_id", ["coarse_variance", "coarse_entropic", "naive_discrete"])
+    def test_stderr_matches_independent_per_cell_resampling(self, scans, witness_id):
+        pos, mom = scans
+        b, b_ref = 1000, 4000
+        grid = sweep_grid(
+            pos, mom, [1, 5, 9], [1, 3, 7], ErrorModel(replicates=b, seed=21),
+            witness_ids=(witness_id,),
+        )
+        # relative sd of a ddof=1 standard deviation from B draws is ~1/sqrt(2B)
+        tol = 4.0 * math.sqrt(1.0 / (2 * b) + 1.0 / (2 * b_ref))
+        rng = np.random.default_rng(77)
+        for n, m, pairing in self.CELLS:
+            _, unc = grid[pairing, witness_id]
+            got = unc[[1, 5, 9].index(n), [1, 3, 7].index(m)]
+            want = _independent_stderr(pos, mom, witness_id, pairing, n, m, pos.geometry, b_ref, rng)
+            assert want > 0
+            assert got == pytest.approx(want, rel=tol), (n, m, pairing)
+
+    def test_values_match_pipeline_evaluate(self, scans):
+        pos, mom = scans
+        grid = sweep_grid(pos, mom, [1, 3], [1, 5])
+        for (pairing, witness_id), (values, unc) in grid.items():
+            assert unc is None
+            for i, n in enumerate([1, 3]):
+                for j, m in enumerate([1, 5]):
+                    want = WitnessPipeline(witness_id, pairing, n, m).evaluate(pos, mom).value
+                    assert values[i, j] == want
+
+    def test_propagate_is_the_one_cell_case(self, scans):
+        # each marginal draws from its own (axis, sign, factor) stream, so a
+        # cell's uncertainty does not depend on which other cells are swept
+        pos, mom = scans
+        em = ErrorModel(replicates=200, seed=9)
+        grid = sweep_grid(pos, mom, [1, 3, 5], [1, 3], em)
+        for witness_id in ("coarse_variance", "coarse_entropic", "naive_discrete"):
+            for pairing in ("pm", "mp"):
+                pipe = WitnessPipeline(witness_id, pairing, n=5, m=3)
+                one = propagate(pos, mom, pipe, em).uncertainty
+                assert grid[pairing, witness_id][1][2, 1] == pytest.approx(one, rel=1e-12)
