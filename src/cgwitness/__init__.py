@@ -10,7 +10,6 @@ propagation — plus the deliberately naive discrete criterion that shows
 why the corrections matter.
 """
 
-from ._kernels import backend_name
 from .binning import (
     BinGrid,
     CountHistogram,
@@ -23,7 +22,6 @@ from .binning import (
 )
 from .bound import (
     CONTINUOUS_BOUND_CONSTANT,
-    BoundTable,
     CharacteristicSolution,
     branch_switch_gamma,
     characteristic_solution,
@@ -32,7 +30,6 @@ from .bound import (
     entropic_bound_constant,
     radial_first_kind,
     radial_first_kind_ode,
-    shared_bound_table,
 )
 from .errors import (
     CGWitnessError,
@@ -52,7 +49,6 @@ from .ingest import (
     ensure_matching_geometry,
     global_marginal,
     load_joint_counts,
-    rebin_marginal,
     save_joint_counts,
 )
 from .model import (
@@ -93,7 +89,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinGrid",
-    "BoundTable",
     "CGWitnessError",
     "CONTINUOUS_BOUND_CONSTANT",
     "CharacteristicSolution",
@@ -121,7 +116,6 @@ __all__ = [
     "WITNESS_IDS",
     "WitnessPipeline",
     "WitnessReport",
-    "backend_name",
     "bin_mass_oracle",
     "branch_switch_gamma",
     "characteristic_solution",
@@ -151,12 +145,10 @@ __all__ = [
     "radial_first_kind",
     "radial_first_kind_ode",
     "rebin",
-    "rebin_marginal",
     "rect_indicator",
     "sample_joint_counts",
     "sample_marginal_counts",
     "save_joint_counts",
-    "shared_bound_table",
     "summarize_histogram",
     "__version__",
 ]

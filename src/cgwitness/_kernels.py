@@ -1,12 +1,6 @@
-"""numpy fallback implementations of the batched statistics kernels.
-
-Same contracts as the Cython module `_core`; used when the extension is
-unavailable or when CGWITNESS_PURE_PYTHON=1.
-"""
+"""Batched statistics kernels: weighted moments and Shannon entropy per row."""
 
 import numpy as np
-
-BACKEND = "python"
 
 # Masses below this are treated as exactly zero in entropy sums: the
 # 0*ln(0) = 0 convention, kept clear of the subnormal range.

@@ -19,8 +19,7 @@ branch equals lambda0(g/8)/g. This file provides:
     characteristic value, amplitude matching for the radial value)
     used to self-certify the series;
   * the bound constant itself, with an asymptotic tail beyond c = 14
-    where the Bessel series loses accuracy to cancellation, and a
-    thread-safe interpolation table for fast sweeps.
+    where the Bessel series loses accuracy to cancellation.
 
 Two evaluation routes exist because there is no published numerical
 table to test against: each route certifies the other.
@@ -29,13 +28,11 @@ table to test against: each route certifies the other.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
@@ -351,61 +348,3 @@ def branch_switch_gamma() -> float:
         )
     )
 
-
-class BoundTable:
-    """Thread-safe interpolated bound constant for fast sweeps.
-
-    Tabulates the concentration eigenvalue on a log grid and interpolates
-    log(lambda0) against log(c) with a cubic spline (the min with the flat
-    branch is applied after interpolation, so the kink is exact). Interp
-    error is kept below 1e-9 in the bound constant; queries outside the
-    table range fall back to direct evaluation. The table builds once under
-    a lock on first use and is immutable afterwards.
-    """
-
-    def __init__(
-        self, gamma_min: float = 1e-4, gamma_max: float = 1e3, points: int = 1200
-    ):
-        if not (0 < gamma_min < gamma_max):
-            raise InvalidParameterError("need 0 < gamma_min < gamma_max")
-        self._gamma_min = float(gamma_min)
-        self._gamma_max = float(gamma_max)
-        self._points = int(points)
-        self._lock = threading.Lock()
-        self._spline = None
-
-    def _build(self) -> None:
-        log_c = np.linspace(
-            math.log(self._gamma_min / 8.0), math.log(self._gamma_max / 8.0), self._points
-        )
-        lam = np.array([concentration_eigenvalue(math.exp(x)) for x in log_c])
-        spline = CubicSpline(log_c, np.log(lam))
-        self._spline = spline
-
-    def value(self, width_product: float) -> float:
-        """Interpolated bound constant at one width product."""
-        g = float(width_product)
-        if not math.isfinite(g) or g < 0:
-            raise InvalidParameterError(f"width product must be finite and nonnegative, got {g}")
-        if g < self._gamma_min or g > self._gamma_max:
-            return entropic_bound_constant(g)
-        if self._spline is None:
-            with self._lock:
-                if self._spline is None:
-                    self._build()
-        lam = math.exp(float(self._spline(math.log(g / 8.0))))
-        return min(CONTINUOUS_BOUND_CONSTANT, lam / g)
-
-
-_SHARED_TABLE: BoundTable | None = None
-_SHARED_TABLE_LOCK = threading.Lock()
-
-
-def shared_bound_table() -> BoundTable:
-    """Process-wide BoundTable singleton (build-once, read-many)."""
-    global _SHARED_TABLE
-    if _SHARED_TABLE is None:
-        with _SHARED_TABLE_LOCK:
-            if _SHARED_TABLE is None:
-                _SHARED_TABLE = BoundTable()
-    return _SHARED_TABLE

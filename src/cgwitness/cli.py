@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import entropic_bound_constant, shared_bound_table
+from .bound import entropic_bound_constant
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError
 from .ingest import (
     OpticalGeometry,
@@ -61,6 +61,14 @@ def _parse_factor_list(spec: str, flag: str) -> list[int]:
         if v < 1 or v % 2 == 0:
             raise ConfigurationError(f"{flag} entries must be odd positive integers, got {v}")
     return values
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: np.random.SeedSequence rejects negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _geometry_from_args(args) -> OpticalGeometry:
@@ -170,7 +178,6 @@ def cmd_sweep(args) -> int:
         error_model,
         pairings=pairings,
         witness_ids=witness_ids,
-        bound_table=shared_bound_table(),
     )
     rows = []
     for pairing in pairings:
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma-plus", type=float, default=10.0, help="sum-momentum width")
     p_sim.add_argument("--sigma-minus", type=float, default=2.5, help="difference-momentum width")
     p_sim.add_argument("--total-counts", type=float, default=1e6, help="expected counts per scan")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--output-prefix", default="scan", help="files PREFIX_position.txt / PREFIX_momentum.txt")
     _add_geometry_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="detection threshold: value + nsigma*stderr < 0",
     )
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_demo.add_argument("--total-counts", type=float, default=1e6)
     p_demo.add_argument("--analytic", action="store_true", help="exact masses instead of sampled counts")
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_seed, default=0)
     p_demo.add_argument("--format", choices=["csv", "json"], default="csv")
     p_demo.add_argument("--output", default=None)
     p_demo.set_defaults(func=cmd_demo_false_positive)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BinGrid, CountHistogram, rebin
+from .binning import BinGrid, CountHistogram
 from .errors import ConfigurationError, InvalidParameterError, ParseError
 
 _GEOMETRY_KEYS = (
@@ -135,11 +135,6 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     np.add.at(sums, (k - k_min).ravel(), jc.counts.ravel())
     width = detector_to_source_scale(jc.geometry, jc.variable_pair)
     return CountHistogram(BinGrid(width, k_min, k_max), sums)
-
-
-def rebin_marginal(h: CountHistogram, factor: int) -> CountHistogram:
-    """Group a base marginal into bins factor times wider (factor odd)."""
-    return rebin(h, factor)
 
 
 def ensure_matching_geometry(a: JointCounts, b: JointCounts) -> None:

@@ -41,15 +41,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import batch_entropy, batch_weighted_moments
-from .binning import CountHistogram
-from .bound import BoundTable, entropic_bound_constant
+from .binning import CountHistogram, rebin
+from .bound import entropic_bound_constant
 from .errors import ConfigurationError, InvalidParameterError, PropagationError
 from .ingest import (
     JointCounts,
     OpticalGeometry,
     ensure_matching_geometry,
     global_marginal,
-    rebin_marginal,
 )
 from .witnesses import DATA_WITNESS_IDS, PAIRINGS, WitnessReport
 from .witnesses import (
@@ -139,17 +138,11 @@ class WitnessPipeline:
         """Rebinned (R, S) marginal count histograms for this pipeline."""
         _check_scan_order(position, momentum)
         sign_r, sign_s = _PAIRING_SIGNS[self.pairing]
-        r = rebin_marginal(global_marginal(position, sign_r), self.n)
-        s = rebin_marginal(global_marginal(momentum, sign_s), self.m)
+        r = rebin(global_marginal(position, sign_r), self.n)
+        s = rebin(global_marginal(momentum, sign_s), self.m)
         return r, s
 
-    def evaluate(
-        self,
-        position: JointCounts,
-        momentum: JointCounts,
-        *,
-        bound_table: BoundTable | None = None,
-    ) -> WitnessReport:
+    def evaluate(self, position: JointCounts, momentum: JointCounts) -> WitnessReport:
         """Point estimate of the witness on the observed counts."""
         r, s = self.marginals(position, momentum)
         var_r, var_s = PAIRINGS[self.pairing]
@@ -157,9 +150,7 @@ class WitnessPipeline:
         if self.witness_id == "coarse_variance":
             return coarse_variance_witness(r.normalize(), s.normalize(), **kwargs)
         if self.witness_id == "coarse_entropic":
-            return coarse_entropic_witness(
-                r.normalize(), s.normalize(), bound_table=bound_table, **kwargs
-            )
+            return coarse_entropic_witness(r.normalize(), s.normalize(), **kwargs)
         return naive_discrete_witness(r.normalize(), s.normalize(), **kwargs)
 
 
@@ -264,7 +255,6 @@ def sweep_grid(
     *,
     pairings=tuple(PAIRINGS),
     witness_ids=DATA_WITNESS_IDS,
-    bound_table: BoundTable | None = None,
 ) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray | None]]:
     """Witness values, and optionally standard errors, over a grid of rebin factors.
 
@@ -290,7 +280,7 @@ def sweep_grid(
         base = global_marginal(jc, sign)
         points, replicates = [], []
         for f in factors:
-            h = rebin_marginal(base, f)
+            h = rebin(base, f)
             d = h.normalize()
             points.append(
                 _reduce(d.grid.width, d.masses[None, :], d.grid.centers, need_variance, need_entropy)
@@ -316,9 +306,8 @@ def sweep_grid(
         r_point, r_reps = marginal_stats(position, sign_r, n_list)
         s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
         if need_entropy and log_bound is None:
-            bound = bound_table.value if bound_table is not None else entropic_bound_constant
             log_bound = np.array(
-                [[math.log(bound(r.width * s.width)) for s in s_point] for r in r_point]
+                [[math.log(entropic_bound_constant(r.width * s.width)) for s in s_point] for r in r_point]
             )[:, :, None]
         if em is not None:
             keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
@@ -360,8 +349,6 @@ def propagate(
     momentum: JointCounts,
     pipeline: WitnessPipeline,
     error_model: ErrorModel,
-    *,
-    bound_table: BoundTable | None = None,
 ) -> WitnessReport:
     """Witness point estimate plus Monte Carlo standard error.
 
@@ -381,8 +368,7 @@ def propagate(
         error_model,
         pairings=(pipeline.pairing,),
         witness_ids=(pipeline.witness_id,),
-        bound_table=bound_table,
     )
     _, uncertainty = grid[pipeline.pairing, pipeline.witness_id]
-    base = pipeline.evaluate(position, momentum, bound_table=bound_table)
+    base = pipeline.evaluate(position, momentum)
     return replace(base, uncertainty=float(uncertainty[0, 0]))

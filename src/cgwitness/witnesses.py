@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .binning import DiscreteDistribution, HistogramDensity, histogram_density
-from .bound import BoundTable, entropic_bound_constant
+from .bound import entropic_bound_constant
 from .errors import InvalidPairingError, InvalidParameterError
 from .stats import (
     discrete_variance,
@@ -201,7 +201,6 @@ def coarse_entropic_witness(
     variable_r: str | None = None,
     variable_s: str | None = None,
     uncertainty: float | None = None,
-    bound_table: BoundTable | None = None,
 ) -> WitnessReport:
     """Entropy-sum criterion with the width-dependent bound constant.
 
@@ -210,17 +209,12 @@ def coarse_entropic_witness(
 
     The bound constant never vanishes, so the criterion is nontrivial at
     every bin size; as widths shrink it recovers the continuous entropic
-    criterion. Passing a BoundTable swaps the direct bound evaluation for
-    the interpolated one (sweep speed).
+    criterion.
     """
     r, s = _as_density(r), _as_density(s)
     token = _resolve_pairing(pairing, variable_r, variable_s)
     h_r, h_s = histogram_entropy(r), histogram_entropy(s)
-    width_product = r.grid.width * s.grid.width
-    if bound_table is not None:
-        bound = bound_table.value(width_product)
-    else:
-        bound = entropic_bound_constant(width_product)
+    bound = entropic_bound_constant(r.grid.width * s.grid.width)
     return WitnessReport(
         witness_id="coarse_entropic",
         pairing=token,

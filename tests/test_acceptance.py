@@ -21,11 +21,6 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-@pytest.fixture(scope="module")
-def bound_table():
-    return cg.shared_bound_table()
-
-
 def test_criterion_1_unit_conversion_anchors():
     geo = cg.OpticalGeometry(
         f1_mm=50.0,
@@ -95,7 +90,7 @@ def test_criterion_3_continuous_limit():
     )
 
 
-def test_criterion_4_no_false_positives_on_separable_states(bound_table):
+def test_criterion_4_no_false_positives_on_separable_states():
     factors = np.logspace(-2.0, 1.0, 12)
     worst = math.inf
     cells = 0
@@ -110,7 +105,7 @@ def test_criterion_4_no_false_positives_on_separable_states(bound_table):
         for r in r_side:
             for s in s_side:
                 v = cg.coarse_variance_witness(r, s).value
-                e = cg.coarse_entropic_witness(r, s, bound_table=bound_table).value
+                e = cg.coarse_entropic_witness(r, s).value
                 worst = min(worst, v, e)
                 cells += 2
     ok = worst >= 0.0 and cells == 3 * 12 * 12 * 2
@@ -137,7 +132,7 @@ def test_criterion_5_false_positive_demonstration():
 
 
 @pytest.mark.filterwarnings("ignore:base bin width exceeds a marginal width")
-def test_criterion_6_entropic_beats_variance_under_coarse_graining(bound_table):
+def test_criterion_6_entropic_beats_variance_under_coarse_graining():
     # the strongest squeezing ratio intentionally pushes the base momentum
     # bin past the anti-correlated marginal width, so the sampler's
     # coarse-sampling warning is expected there
@@ -153,7 +148,7 @@ def test_criterion_6_entropic_beats_variance_under_coarse_graining(bound_table):
                 n
                 for n in factors
                 if cg.WitnessPipeline(witness_id=wid, pairing="pm", n=n, m=n)
-                .evaluate(pos, mom, bound_table=bound_table)
+                .evaluate(pos, mom)
                 .detected
             ]
             max_detect[(ratio, wid)] = max(detected) if detected else 0

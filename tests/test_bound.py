@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cgwitness import (
-    BoundTable,
     branch_switch_gamma,
     characteristic_solution,
     characteristic_value_ode,
@@ -12,7 +11,6 @@ from cgwitness import (
     entropic_bound_constant,
     radial_first_kind,
     radial_first_kind_ode,
-    shared_bound_table,
 )
 from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, MAX_PARAMETER
 from cgwitness.errors import InvalidParameterError
@@ -137,25 +135,8 @@ class TestEntropicBoundConstant:
         with pytest.raises(InvalidParameterError):
             entropic_bound_constant(-0.5)
 
-
-class TestBoundTable:
-    def test_matches_direct_evaluation(self):
-        table = BoundTable(gamma_min=1e-3, gamma_max=200.0, points=600)
-        for gamma in (0.0, 0.5, 10.0, 14.0, 15.0, 40.0, 123.0):
-            assert table.value(gamma) == pytest.approx(
-                entropic_bound_constant(gamma), rel=1e-8
-            )
-
-    def test_outside_range_falls_back_to_direct(self):
-        table = BoundTable(gamma_min=1.0, gamma_max=10.0, points=50)
-        assert table.value(400.0) == pytest.approx(entropic_bound_constant(400.0), rel=1e-12)
-
-    def test_shared_table_is_singleton(self):
-        assert shared_bound_table() is shared_bound_table()
-
     def test_kink_is_exact(self):
-        # the min with the flat branch is applied after interpolation
-        table = shared_bound_table()
+        # the min with the flat branch makes the bound exactly flat up to the kink
         g_star = branch_switch_gamma()
-        assert table.value(g_star * 0.999) == pytest.approx(FLAT, rel=1e-14)
-        assert table.value(g_star * 1.001) < FLAT
+        assert entropic_bound_constant(g_star * 0.999) == pytest.approx(FLAT, rel=1e-14)
+        assert entropic_bound_constant(g_star * 1.001) < FLAT

@@ -26,6 +26,17 @@ def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
     return tmp_path / f"{prefix}_position.txt", tmp_path / f"{prefix}_momentum.txt"
 
 
+def _run_cli(*args):
+    """Run `python -m cgwitness ARGS` in a fresh interpreter, capturing stderr."""
+    src = str(Path(cgwitness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "cgwitness", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestSimulate:
     def test_writes_both_scans(self, tmp_path, capsys):
         pos, mom = _simulate(tmp_path)
@@ -140,7 +151,6 @@ class TestSweep:
             coarse_variance_witness,
             load_joint_counts,
             naive_discrete_witness,
-            shared_bound_table,
         )
 
         pos, mom = _simulate(tmp_path)
@@ -152,12 +162,11 @@ class TestSweep:
         rows = json.loads(out_file.read_text())["sweep"]
         assert len(rows) == 11 * 11 * 2 * 3
         position, momentum = load_joint_counts(pos), load_joint_counts(mom)
-        table = shared_bound_table()
         for row in rows:
             pipe = WitnessPipeline(row["witness_id"], row["pairing"], row["n"], row["m"])
             r, s = (h.normalize() for h in pipe.marginals(position, momentum))
             if row["witness_id"] == "coarse_entropic":
-                want = coarse_entropic_witness(r, s, pairing=row["pairing"], bound_table=table)
+                want = coarse_entropic_witness(r, s, pairing=row["pairing"])
             elif row["witness_id"] == "coarse_variance":
                 want = coarse_variance_witness(r, s, pairing=row["pairing"])
             else:
@@ -320,13 +329,21 @@ class TestExitCodes:
         lines = pos.read_bytes().splitlines()
         lines[-1] = bad_token + lines[-1][lines[-1].index(b","):]
         pos.write_bytes(b"\n".join(lines) + b"\n")
-        src = str(Path(cgwitness.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cgwitness", "sweep", str(pos), str(mom), "--errors", "off"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli("sweep", str(pos), str(mom), "--errors", "off")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"line {len(lines)}" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "demo-false-positive"])
+    def test_negative_seed_exits_2_without_traceback(self, tmp_path, command):
+        if command == "sweep":
+            pos, mom = _simulate(tmp_path)
+            args = ["sweep", str(pos), str(mom), "--n-list", "1", "--m-list", "1"]
+        elif command == "simulate":
+            args = ["simulate", "--output-prefix", str(tmp_path / "scan")]
+        else:
+            args = ["demo-false-positive"]
+        proc = _run_cli(*args, "--seed", "-1")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--seed" in proc.stderr

@@ -12,7 +12,7 @@ from cgwitness import (
     ensure_matching_geometry,
     global_marginal,
     load_joint_counts,
-    rebin_marginal,
+    rebin,
     sample_joint_counts,
     save_joint_counts,
 )
@@ -119,14 +119,14 @@ class TestRebinMarginal:
     def test_width_and_conservation(self, entangled_state, geometry):
         jc = sample_joint_counts(entangled_state, geometry, "position", 5e4, seed=4)
         h = global_marginal(jc, "+")
-        r = rebin_marginal(h, 5)
+        r = rebin(h, 5)
         assert r.grid.width == pytest.approx(5 * h.grid.width)
         assert r.counts.sum() == h.counts.sum()
 
     def test_even_factor_rejected(self, entangled_state, geometry):
         jc = sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=4)
         with pytest.raises(InvalidParameterError):
-            rebin_marginal(global_marginal(jc, "+"), 2)
+            rebin(global_marginal(jc, "+"), 2)
 
 
 class TestRoundTrip:

@@ -1,18 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from cgwitness._kernels import _core_py, backend_name, batch_entropy, batch_weighted_moments
-
-try:
-    from cgwitness._kernels import _core
-except ImportError:
-    _core = None
-
-needs_extension = pytest.mark.skipif(_core is None, reason="compiled kernels unavailable")
+from cgwitness._kernels import batch_entropy, batch_weighted_moments
 
 
 def _random_batch(seed, rows=64, cols=257):
@@ -28,16 +17,25 @@ def _random_batch(seed, rows=64, cols=257):
 class TestPythonBackend:
     def test_moments_match_plain_numpy(self):
         w, x, _ = _random_batch(1)
-        means, variances = _core_py.batch_weighted_moments(w, x)
+        means, variances = batch_weighted_moments(w, x)
         for b in range(w.shape[0]):
             mu = np.average(x, weights=w[b])
             var = np.average((x - mu) ** 2, weights=w[b])
             assert means[b] == pytest.approx(mu, rel=1e-12)
             assert variances[b] == pytest.approx(var, rel=1e-12)
 
+    def test_per_row_centers_match_plain_numpy(self):
+        w, _, xb = _random_batch(4)
+        means, variances = batch_weighted_moments(w, xb)
+        for b in range(w.shape[0]):
+            mu = np.average(xb[b], weights=w[b])
+            var = np.average((xb[b] - mu) ** 2, weights=w[b])
+            assert means[b] == pytest.approx(mu, rel=1e-12)
+            assert variances[b] == pytest.approx(var, rel=1e-12)
+
     def test_entropy_matches_direct_formula(self):
         w, _, _ = _random_batch(2)
-        ent = _core_py.batch_entropy(w)
+        ent = batch_entropy(w)
         for b in range(w.shape[0]):
             q = w[b] / w[b].sum()
             q = q[q > 0]
@@ -46,61 +44,17 @@ class TestPythonBackend:
     def test_rejects_zero_rows(self):
         w = np.zeros((2, 4))
         with pytest.raises(ValueError):
-            _core_py.batch_weighted_moments(w, np.arange(4.0))
+            batch_weighted_moments(w, np.arange(4.0))
         with pytest.raises(ValueError):
-            _core_py.batch_entropy(w)
-
-
-@needs_extension
-class TestBackendParity:
-    def test_moments_shared_centers(self):
-        w, x, _ = _random_batch(3)
-        m1, v1 = _core.batch_weighted_moments(w, x)
-        m2, v2 = _core_py.batch_weighted_moments(w, x)
-        np.testing.assert_allclose(m1, m2, rtol=1e-12)
-        np.testing.assert_allclose(v1, v2, rtol=1e-12)
-
-    def test_moments_per_row_centers(self):
-        w, _, xb = _random_batch(4)
-        m1, v1 = _core.batch_weighted_moments(w, xb)
-        m2, v2 = _core_py.batch_weighted_moments(w, xb)
-        np.testing.assert_allclose(m1, m2, rtol=1e-12)
-        np.testing.assert_allclose(v1, v2, rtol=1e-12)
-
-    def test_entropy(self):
-        w, _, _ = _random_batch(5)
-        np.testing.assert_allclose(
-            _core.batch_entropy(w), _core_py.batch_entropy(w), rtol=1e-12
-        )
-
-    def test_extension_rejects_zero_rows(self):
-        w = np.zeros((2, 4))
-        with pytest.raises(ValueError):
-            _core.batch_weighted_moments(w, np.arange(4.0))
-        with pytest.raises(ValueError):
-            _core.batch_entropy(w)
+            batch_entropy(w)
 
     def test_shape_mismatch_rejected(self):
         w, x, _ = _random_batch(6)
         with pytest.raises(ValueError):
-            _core.batch_weighted_moments(w, x[:-1])
+            batch_weighted_moments(w, x[:-1])
 
 
 class TestBackendSelection:
-    def test_active_backend_reported(self):
-        assert backend_name() in ("cython", "python")
-
-    def test_env_var_forces_python(self):
-        env = dict(os.environ, CGWITNESS_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import cgwitness; print(cgwitness.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "python"
-
     def test_package_level_functions_work(self):
         w, x, _ = _random_batch(7, rows=3, cols=11)
         means, variances = batch_weighted_moments(w, x)

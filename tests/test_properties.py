@@ -14,7 +14,6 @@ from cgwitness import (
     histogram_density,
     histogram_entropy,
     histogram_variance,
-    shared_bound_table,
 )
 from cgwitness.binning import BinGrid, CountHistogram, DiscreteDistribution, rebin
 
@@ -129,7 +128,7 @@ class TestBoundProperties:
     @given(st.floats(min_value=0.0, max_value=400.0))
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_positive(self, gamma):
-        c = shared_bound_table().value(gamma)
+        c = entropic_bound_constant(gamma)
         assert 0.0 < c <= FLAT * (1.0 + 1e-12)
 
     @given(
@@ -138,9 +137,8 @@ class TestBoundProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_nonincreasing(self, gamma, step):
-        table = shared_bound_table()
-        a = table.value(gamma)
-        b = table.value(gamma + step)
+        a = entropic_bound_constant(gamma)
+        b = entropic_bound_constant(gamma + step)
         assert b <= a * (1.0 + 1e-9)
 
     @given(
@@ -150,7 +148,6 @@ class TestBoundProperties:
     @settings(max_examples=60, deadline=None)
     def test_gamma_times_c_nondecreasing(self, gamma, factor):
         # gamma * C(gamma) is the concentration eigenvalue branch: increasing
-        table = shared_bound_table()
-        lo = gamma * table.value(gamma)
-        hi = gamma * factor * table.value(gamma * factor)
+        lo = gamma * entropic_bound_constant(gamma)
+        hi = gamma * factor * entropic_bound_constant(gamma * factor)
         assert hi >= lo * (1.0 - 1e-9)

@@ -22,7 +22,6 @@ from cgwitness import (
     histogram_density,
     mgvt_continuous,
     naive_discrete_witness,
-    shared_bound_table,
 )
 from cgwitness.errors import InvalidPairingError, InvalidParameterError
 
@@ -169,12 +168,6 @@ class TestCoarseWitnesses:
         a = coarse_variance_witness(r, s).value
         b = coarse_variance_witness(histogram_density(r), histogram_density(s)).value
         assert a == pytest.approx(b, rel=1e-14)
-
-    def test_bound_table_matches_direct(self):
-        r, s = _pm_inputs(1.5, 4.0)
-        direct = coarse_entropic_witness(r, s).value
-        tabled = coarse_entropic_witness(r, s, bound_table=shared_bound_table()).value
-        assert tabled == pytest.approx(direct, rel=1e-8)
 
     def test_separable_coarse_witnesses_nonnegative_spotcheck(self):
         for width in (0.05, 0.5, 2.0, 5.0):
