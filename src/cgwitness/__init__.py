@@ -25,11 +25,9 @@ from .bound import (
     CharacteristicSolution,
     branch_switch_gamma,
     characteristic_solution,
-    characteristic_value_ode,
     concentration_eigenvalue,
     entropic_bound_constant,
     radial_first_kind,
-    radial_first_kind_ode,
 )
 from .errors import (
     CGWitnessError,
@@ -119,7 +117,6 @@ __all__ = [
     "bin_mass_oracle",
     "branch_switch_gamma",
     "characteristic_solution",
-    "characteristic_value_ode",
     "classify_separable",
     "coarse_entropic_witness",
     "coarse_grain",
@@ -143,7 +140,6 @@ __all__ = [
     "naive_discrete_witness",
     "propagate",
     "radial_first_kind",
-    "radial_first_kind_ode",
     "rebin",
     "rect_indicator",
     "sample_joint_counts",

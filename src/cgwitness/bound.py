@@ -15,14 +15,12 @@ branch equals lambda0(g/8)/g. This file provides:
     angular eigenfunction via a symmetric tridiagonal eigenproblem,
     with adaptive truncation;
   * the radial function of the first kind via the spherical Bessel
-    series, plus a fully independent ODE route (shooting for the
-    characteristic value, amplitude matching for the radial value)
-    used to self-certify the series;
+    series (Slepian & Pollak 1961), valid up to c = 14;
   * the bound constant itself, with an asymptotic tail beyond c = 14
     where the Bessel series loses accuracy to cancellation.
 
-Two evaluation routes exist because there is no published numerical
-table to test against: each route certifies the other.
+The test suite checks the series against scipy's independent prolate
+routines (Zhang & Jin's specfun) on the whole series domain.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from .errors import ConvergenceError, InvalidParameterError
@@ -162,130 +158,24 @@ def radial_first_kind(sol: CharacteristicSolution, xi: float = 1.0) -> float:
 
     Value = sum_k (-1)^k d_{2k} j_{2k}(c*xi) / sum_k d_{2k}; the ratio makes
     the result independent of the coefficient normalization.
+
+    Raises:
+        InvalidParameterError: xi negative or non-finite, or sol.c above
+            SERIES_TAIL_SWITCH, where cancellation in the series leaves the
+            value meaningless (at c = 50 it even has the wrong sign).
     """
     if not (math.isfinite(xi) and xi >= 0):
         raise InvalidParameterError(f"xi must be finite and nonnegative, got {xi}")
+    if sol.c > SERIES_TAIL_SWITCH:
+        raise InvalidParameterError(
+            f"series route is valid only for c <= {SERIES_TAIL_SWITCH}, got c = {sol.c}"
+        )
     d = sol.coefficients
     if sol.c == 0.0:
         return 1.0
     k = np.arange(d.size)
     num = np.sum((-1.0) ** k * d * spherical_jn(2 * k, sol.c * xi))
     return float(num / np.sum(d))
-
-
-def _equator_slope(c: float, chi: float) -> float:
-    """Slope at the equator of the regular angular solution (shooting residual).
-
-    Integrates S'' + cot(t) S' + (chi - c^2 cos^2 t) S = 0 from the pole with
-    the regular (even) start; the residual S'(pi/2) vanishes exactly at the
-    even characteristic values.
-    """
-    t0 = 1e-4
-    a = (c * c - chi) / 4.0
-
-    def rhs(t, y):
-        s, sp = y
-        return (sp, -sp / math.tan(t) - (chi - c * c * math.cos(t) ** 2) * s)
-
-    res = solve_ivp(
-        rhs,
-        (t0, math.pi / 2.0),
-        (1.0 + a * t0 * t0, 2.0 * a * t0),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not res.success:
-        raise ConvergenceError(f"angular shooting integration failed at c={c}, chi={chi}")
-    return float(res.y[1, -1])
-
-
-def characteristic_value_ode(c: float, *, chi_hint: float | None = None) -> float:
-    """Lowest characteristic value by shooting on the angular equation.
-
-    Independent of the tridiagonal route: the value is the first zero of the
-    equator slope of the regular solution. chi_hint (if given) only narrows
-    the root bracket; the returned value is still determined by the ODE.
-    """
-    c = float(c)
-    if not math.isfinite(c) or c < 0:
-        raise InvalidParameterError(f"parameter must be finite and nonnegative, got {c}")
-    if c == 0.0:
-        return 0.0
-    if chi_hint is not None:
-        lo, hi = max(0.0, chi_hint - 0.5), chi_hint + 0.5
-        flo, fhi = _equator_slope(c, lo), _equator_slope(c, hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0:
-            return float(brentq(lambda x: _equator_slope(c, x), lo, hi, xtol=1e-13))
-    upper = min(c * c / 3.0, c + 1.0) + 1.0
-    grid = np.linspace(0.0, upper, 161)
-    prev_x, prev_f = grid[0], _equator_slope(c, grid[0])
-    if prev_f == 0.0:
-        return float(prev_x)
-    for x in grid[1:]:
-        f = _equator_slope(c, x)
-        if f == 0.0:
-            return float(x)
-        if prev_f * f < 0:
-            return float(brentq(lambda t: _equator_slope(c, t), prev_x, x, xtol=1e-13))
-        prev_x, prev_f = x, f
-    raise ConvergenceError(f"no characteristic value located in [0, {upper}] at c={c}")
-
-
-def radial_first_kind_ode(c: float, *, chi_hint: float | None = None) -> float:
-    """Radial function of the first kind at xi = 1 by direct integration.
-
-    Fully independent of the Bessel-series route: the characteristic value
-    comes from angular shooting, and the first-kind amplitude is fixed by
-    matching the integrated regular radial solution to its large-xi
-    oscillation. With u = sqrt(xi^2 - 1) * R the radial equation becomes
-    u'' + k(xi)^2 u = 0 with k(xi)^2 = c^2 + (c^2 - chi)/(xi^2-1)
-    + 1/(xi^2-1)^2. The adiabatic invariant E = k u^2 + u'^2 / k (local k,
-    averaged over uniformly spaced phases covering two full periods so the
-    residual modulation cancels) equals the squared oscillation amplitude;
-    the first-kind solution has E = 1/c, so R(1) = 1/sqrt(c*E).
-    """
-    c = float(c)
-    if not math.isfinite(c) or c <= 0:
-        raise InvalidParameterError(f"parameter must be finite and positive, got {c}")
-    chi = characteristic_value_ode(c, chi_hint=chi_hint)
-
-    def ksq(x):
-        q = x * x - 1.0
-        return c * c + (c * c - chi) / q + 1.0 / (q * q)
-
-    def rhs(x, y):
-        u, up = y
-        return (up, -ksq(x) * u)
-
-    x0 = 1.0 + 1e-6
-    slope = (chi - c * c) / 2.0  # R'(1)/R(1) of the regular solution
-    r0 = 1.0 + slope * (x0 - 1.0)
-    root = math.sqrt(x0 * x0 - 1.0)
-    u0 = root * r0
-    up0 = x0 / root * r0 + root * slope
-    period = 2.0 * math.pi / c
-    start = max(240.0, 120.0 / max(c, 0.1), 0.5 * period)
-    samples = start + 2.0 * period * np.arange(128) / 128.0
-    res = solve_ivp(
-        rhs,
-        (x0, samples[-1]),
-        (u0, up0),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        t_eval=samples,
-    )
-    if not res.success:
-        raise ConvergenceError(f"radial integration failed at c={c}")
-    u, up = res.y
-    k = np.sqrt(ksq(samples))
-    energy = float(np.mean(k * u * u + up * up / k))
-    return 1.0 / math.sqrt(c * energy)
 
 
 def concentration_eigenvalue(c: float) -> float:
@@ -339,6 +229,8 @@ def branch_switch_gamma() -> float:
     Unique root of lambda0(g/8)/g = 1/(2*pi*e); below it the bound constant
     is exactly 1/(2*pi*e), above it strictly smaller.
     """
+    from scipy.optimize import brentq
+
     return float(
         brentq(
             lambda g: concentration_eigenvalue(g / 8.0) / g - CONTINUOUS_BOUND_CONSTANT,

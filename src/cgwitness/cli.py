@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,9 @@ from .witnesses import (
 )
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
+
+#: Largest marginal grid demo-false-positive builds: ~70 MB and ~0.7 s of work.
+MAX_DEMO_BINS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +72,15 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _nsigma(text: str) -> float:
+    """argparse type of --detect-nsigma: a finite value >= 0. With NaN nothing
+    is detected; a negative value flags positive (inconclusive) values."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -225,6 +238,13 @@ def cmd_demo_false_positive(args) -> int:
         )
     if not args.multiplier > 0:
         raise ConfigurationError(f"--multiplier must be positive, got {args.multiplier}")
+    # each marginal grid spans +/- 9 standard deviations (coarse_grained_marginal's
+    # span) in bins of width 2*multiplier standard deviations: ~9/multiplier bins
+    if 9.0 / args.multiplier > MAX_DEMO_BINS:
+        raise ConfigurationError(
+            f"--multiplier {args.multiplier} needs ~{9.0 / args.multiplier:.3g} bins per "
+            f"marginal (limit {MAX_DEMO_BINS}); use --multiplier >= {9.0 / MAX_DEMO_BINS:g}"
+        )
     state = GaussianTwoPhotonState(sigma_plus, sigma_minus)
     marg = exact_marginals(state)
     r_spec, s_spec = marg.x_plus, marg.p_minus
@@ -309,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replicates", type=int, default=1000)
     p_sweep.add_argument(
         "--detect-nsigma",
-        type=float,
+        type=_nsigma,
         default=1.0,
         help="detection threshold: value + nsigma*stderr < 0",
     )

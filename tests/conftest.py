@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import pro_rad1
 
 from cgwitness import GaussianTwoPhotonState, OpticalGeometry
 from cgwitness.binning import BinGrid, DiscreteDistribution
@@ -28,3 +29,17 @@ def random_discrete(rng, *, max_bins: int = 40) -> DiscreteDistribution:
     masses = rng.gamma(0.7, size=n) + 1e-12
     masses /= masses.sum()
     return DiscreteDistribution(BinGrid(width, j_min, j_min + n - 1), masses)
+
+
+def radial_first_kind_specfun(c: float) -> float:
+    """Reference R_00(c, 1) from scipy's prolate routines, for c <= 14.
+
+    scipy.special.pro_rad1 wraps Zhang & Jin's specfun (*Computation of
+    Special Functions*, 1996), code independent of the tridiagonal + Bessel
+    series in cgwitness.bound. It returns NaN at xi = 1 exactly, so evaluate
+    just above and step back along the returned derivative. Reliable for
+    c <= 14; above c ~ 20 it goes wrong (the wrong sign at c = 50).
+    """
+    h = 1e-9
+    value, slope = pro_rad1(0, 0, c, 1.0 + h)
+    return float(value - h * slope)

@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pro_cv
 
 from cgwitness import (
     branch_switch_gamma,
     characteristic_solution,
-    characteristic_value_ode,
     concentration_eigenvalue,
     entropic_bound_constant,
     radial_first_kind,
-    radial_first_kind_ode,
 )
-from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, MAX_PARAMETER
+from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, MAX_PARAMETER, SERIES_TAIL_SWITCH
 from cgwitness.errors import InvalidParameterError
+from conftest import radial_first_kind_specfun
 
 FLAT = 1.0 / (2.0 * math.e * math.pi)
 
@@ -57,19 +57,19 @@ class TestRadialFunction:
 
     @pytest.mark.parametrize("c", [0.01, 1.0, 5.0])
     def test_dual_route_agreement(self, c):
-        sol = characteristic_solution(c)
-        series = radial_first_kind(sol)
-        ode = radial_first_kind_ode(c, chi_hint=sol.chi)
-        assert abs(series - ode) < 1e-8
+        # the Bessel series against scipy's independent specfun routines
+        series = radial_first_kind(characteristic_solution(c))
+        assert abs(series - radial_first_kind_specfun(c)) < 1e-8
 
-    def test_ode_characteristic_matches_series(self):
+    def test_characteristic_matches_specfun(self):
         sol = characteristic_solution(1.0)
-        assert characteristic_value_ode(1.0) == pytest.approx(sol.chi, rel=1e-10)
+        assert sol.chi == pytest.approx(pro_cv(0, 0, 1.0), rel=1e-10)
 
-    def test_ode_route_survives_bad_hint(self):
-        sol = characteristic_solution(0.5)
-        off = characteristic_value_ode(0.5, chi_hint=sol.chi + 40.0)
-        assert off == pytest.approx(sol.chi, rel=1e-9)
+    @pytest.mark.parametrize("c", [SERIES_TAIL_SWITCH * 1.0001, 50.0])
+    def test_rejects_parameter_beyond_series_domain(self, c):
+        # at c = 50 the series would return -0.009375 instead of ~0.177
+        with pytest.raises(InvalidParameterError):
+            radial_first_kind(characteristic_solution(c))
 
 
 class TestConcentrationEigenvalue:

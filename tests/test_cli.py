@@ -26,15 +26,19 @@ def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
     return tmp_path / f"{prefix}_position.txt", tmp_path / f"{prefix}_momentum.txt"
 
 
-def _run_cli(*args):
-    """Run `python -m cgwitness ARGS` in a fresh interpreter, capturing stderr."""
+def _run_python(*argv):
+    """Run `python ARGV` in a fresh interpreter that imports this cgwitness."""
     src = str(Path(cgwitness.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "cgwitness", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_cli(*args):
+    """Run `python -m cgwitness ARGS` in a fresh interpreter, capturing stderr."""
+    return _run_python("-m", "cgwitness", *args)
 
 
 class TestSimulate:
@@ -221,6 +225,11 @@ class TestDemoFalsePositive:
         assert rows["naive_discrete"][5] == "true"
         assert rows["coarse_variance"][5] == "false"
 
+    @pytest.mark.parametrize("multiplier", ["1e-3", "1e-5"])
+    def test_very_fine_multiplier_still_runs(self, capsys, multiplier):
+        assert main(["demo-false-positive", "--multiplier", multiplier, "--analytic"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
     def test_unequal_sigmas_rejected(self, capsys):
         assert main([
             "demo-false-positive", "--sigma-plus", "1.0", "--sigma-minus", "2.0",
@@ -347,3 +356,32 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--seed" in proc.stderr
+
+    @pytest.mark.parametrize("nsigma", ["nan", "-1", "inf"])
+    def test_bad_detect_nsigma_exits_2_without_traceback(self, tmp_path, nsigma):
+        pos, mom = _simulate(tmp_path)
+        proc = _run_cli(
+            "sweep", str(pos), str(mom), "--n-list", "1", "--m-list", "1",
+            "--detect-nsigma", nsigma,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--detect-nsigma" in proc.stderr
+
+    def test_absurd_multiplier_exits_2_without_traceback(self):
+        # 1e-9 would need a ~9e9-bin grid (67 GiB); it must be refused up front
+        proc = _run_cli("demo-false-positive", "--multiplier", "1e-9")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--multiplier" in proc.stderr
+
+
+class TestImportPath:
+    def test_cli_import_skips_scipy_integrate_and_optimize(self):
+        proc = _run_python(
+            "-c",
+            "import sys, cgwitness.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

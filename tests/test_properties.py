@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgwitness import (
+    characteristic_solution,
     discrete_entropy,
     discrete_variance,
     entropic_bound_constant,
     histogram_density,
     histogram_entropy,
     histogram_variance,
+    radial_first_kind,
 )
 from cgwitness.binning import BinGrid, CountHistogram, DiscreteDistribution, rebin
+from cgwitness.bound import SERIES_TAIL_SWITCH
+from conftest import radial_first_kind_specfun
 
 FLAT = 1.0 / (2.0 * math.e * math.pi)
 
@@ -151,3 +155,12 @@ class TestBoundProperties:
         lo = gamma * entropic_bound_constant(gamma)
         hi = gamma * factor * entropic_bound_constant(gamma * factor)
         assert hi >= lo * (1.0 - 1e-9)
+
+    @given(st.floats(min_value=0.0, max_value=SERIES_TAIL_SWITCH, exclude_min=True))
+    @example(SERIES_TAIL_SWITCH)
+    @settings(max_examples=100, deadline=None)
+    def test_series_matches_specfun(self, c):
+        # the Bessel series against Zhang & Jin's independent routines, on
+        # the whole series domain (0, 14]
+        series = radial_first_kind(characteristic_solution(c))
+        assert abs(series - radial_first_kind_specfun(c)) < 1e-8
