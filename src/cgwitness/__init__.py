@@ -14,16 +14,12 @@ from .binning import (
     BinGrid,
     CountHistogram,
     DiscreteDistribution,
-    HistogramDensity,
     coarse_grain,
-    histogram_density,
     rebin,
-    rect_indicator,
 )
 from .bound import (
     CONTINUOUS_BOUND_CONSTANT,
     CharacteristicSolution,
-    branch_switch_gamma,
     characteristic_solution,
     concentration_eigenvalue,
     entropic_bound_constant,
@@ -54,20 +50,16 @@ from .model import (
     GlobalMarginals,
     MarginalSpec,
     bin_mass_oracle,
-    classify_separable,
     coarse_grained_marginal,
     exact_marginals,
     sample_joint_counts,
     sample_marginal_counts,
 )
 from .stats import (
-    SummaryStat,
     discrete_entropy,
-    discrete_mean,
     discrete_variance,
     histogram_entropy,
     histogram_variance,
-    summarize_histogram,
 )
 from .uncertainty import ErrorModel, WitnessPipeline, propagate
 from .witnesses import (
@@ -99,7 +91,6 @@ __all__ = [
     "ErrorModel",
     "GaussianTwoPhotonState",
     "GlobalMarginals",
-    "HistogramDensity",
     "InvalidPairingError",
     "InvalidParameterError",
     "JointCounts",
@@ -109,15 +100,12 @@ __all__ = [
     "PAIRINGS",
     "ParseError",
     "PropagationError",
-    "SummaryStat",
     "TruncationError",
     "WITNESS_IDS",
     "WitnessPipeline",
     "WitnessReport",
     "bin_mass_oracle",
-    "branch_switch_gamma",
     "characteristic_solution",
-    "classify_separable",
     "coarse_entropic_witness",
     "coarse_grain",
     "coarse_grained_marginal",
@@ -125,14 +113,12 @@ __all__ = [
     "concentration_eigenvalue",
     "detector_to_source_scale",
     "discrete_entropy",
-    "discrete_mean",
     "discrete_variance",
     "ensure_matching_geometry",
     "entropic_bound_constant",
     "entropic_continuous",
     "exact_marginals",
     "global_marginal",
-    "histogram_density",
     "histogram_entropy",
     "histogram_variance",
     "load_joint_counts",
@@ -141,10 +127,8 @@ __all__ = [
     "propagate",
     "radial_first_kind",
     "rebin",
-    "rect_indicator",
     "sample_joint_counts",
     "sample_marginal_counts",
     "save_joint_counts",
-    "summarize_histogram",
     "__version__",
 ]

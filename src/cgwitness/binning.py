@@ -2,14 +2,14 @@
 
 A grid of width eta puts bin j on [(j-1/2)*eta, (j+1/2)*eta] with center
 j*eta, so a bin center always sits at the origin. Distributions over such
-grids come in three forms: raw integer counts, normalized bin masses, and
-the piecewise-constant density built from the masses.
+grids come in two forms: raw integer counts and normalized bin masses,
+which also define the piecewise-constant density mass_k / width on bin k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InvalidParameterError, NormalizationError, TruncationError
 
 MASS_TOLERANCE = 1e-9
+
+#: Largest count, and largest total of a count array: counts are int64.
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,6 @@ class BinGrid:
         return cls(width, math.floor(lo / width + 0.5), math.ceil(hi / width - 0.5))
 
     @property
-    def index_range(self) -> tuple[int, int]:
-        return (self.j_min, self.j_max)
-
-    @property
     def n_bins(self) -> int:
         return self.j_max - self.j_min + 1
 
@@ -64,29 +63,12 @@ class BinGrid:
     def centers(self) -> np.ndarray:
         return self.indices * self.width
 
-    def edges(self, j: int) -> tuple[float, float]:
-        """Lower and upper boundary of bin j."""
-        return ((j - 0.5) * self.width, (j + 0.5) * self.width)
 
-    def index_of(self, z: float) -> int:
-        """Bin owning coordinate z under the half-open tie-break.
-
-        Bins share boundary points; for mass assignment each point belongs
-        to exactly one bin, taken as [(j-1/2)w, (j+1/2)w).
-        """
-        return math.floor(z / self.width + 0.5)
-
-
-def rect_indicator(j: int, eta: float, z: float) -> int:
-    """Rectangular window: 1 if z lies in bin j of a width-eta grid.
-
-    Both boundary points count as inside (the window is a closed interval,
-    so adjacent windows share their boundary). Use BinGrid.index_of when a
-    unique owner is needed.
-    """
-    if not eta > 0:
-        raise InvalidParameterError(f"window width must be positive, got {eta}")
-    return int((j - 0.5) * eta <= z <= (j + 0.5) * eta)
+def check_count_total(counts: np.ndarray) -> None:
+    """Refuse nonnegative int64 counts whose total an int64 sum would wrap."""
+    # the float sum flags candidates; the exact Python sum decides
+    if counts.sum(dtype=np.float64) >= 2.0**62 and sum(counts.ravel().tolist()) > MAX_COUNT:
+        raise InvalidParameterError(f"counts total above {MAX_COUNT}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -123,6 +105,11 @@ class DiscreteDistribution:
             raise NormalizationError(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "masses", _readonly(m))
 
+    @property
+    def densities(self) -> np.ndarray:
+        """Value mass_k / width of the piecewise-constant density on bin k."""
+        return self.masses / self.grid.width
+
 
 @dataclass(frozen=True, eq=False)
 class CountHistogram:
@@ -142,6 +129,7 @@ class CountHistogram:
             )
         if np.any(c < 0):
             raise InvalidParameterError("counts must be nonnegative")
+        check_count_total(c)
         object.__setattr__(self, "counts", _readonly(c))
 
     @property
@@ -153,32 +141,6 @@ class CountHistogram:
         if total <= 0:
             raise NormalizationError("cannot normalize a histogram with zero counts")
         return DiscreteDistribution(self.grid, self.counts / total)
-
-
-@dataclass(frozen=True, eq=False)
-class HistogramDensity:
-    """Piecewise-constant probability density: mass_k / width on bin k."""
-
-    grid: BinGrid
-    masses: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=np.float64)
-        if m.shape != (self.grid.n_bins,):
-            raise InvalidParameterError(
-                f"expected {self.grid.n_bins} masses, got shape {m.shape}"
-            )
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
-            raise InvalidParameterError("masses must be finite and nonnegative")
-        if abs(float(m.sum()) - 1.0) > MASS_TOLERANCE:
-            raise NormalizationError(
-                f"density integrates to {float(m.sum())!r}, expected 1"
-            )
-        object.__setattr__(self, "masses", _readonly(m))
-
-    @property
-    def densities(self) -> np.ndarray:
-        return self.masses / self.grid.width
 
 
 BinMassOracle = Callable[[float, float], float]
@@ -262,7 +224,3 @@ def rebin(h: Binned, factor: int) -> Binned:
         return CountHistogram(new_grid, out)
     return DiscreteDistribution(new_grid, out, captured_fraction=h.captured_fraction)
 
-
-def histogram_density(d: DiscreteDistribution) -> HistogramDensity:
-    """Piecewise-constant density with value mass_k / width on bin k."""
-    return HistogramDensity(d.grid, d.masses)

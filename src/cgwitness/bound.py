@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -220,23 +219,4 @@ def entropic_bound_constant(width_product: float) -> float:
     else:
         curved = concentration_eigenvalue(c) / g
     return min(CONTINUOUS_BOUND_CONSTANT, curved)
-
-
-@lru_cache(maxsize=1)
-def branch_switch_gamma() -> float:
-    """Width product where the bound constant leaves the flat branch.
-
-    Unique root of lambda0(g/8)/g = 1/(2*pi*e); below it the bound constant
-    is exactly 1/(2*pi*e), above it strictly smaller.
-    """
-    from scipy.optimize import brentq
-
-    return float(
-        brentq(
-            lambda g: concentration_eigenvalue(g / 8.0) / g - CONTINUOUS_BOUND_CONSTANT,
-            10.0,
-            20.0,
-            xtol=1e-10,
-        )
-    )
 

@@ -42,6 +42,9 @@ DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
 #: Largest marginal grid demo-false-positive builds: ~70 MB and ~0.7 s of work.
 MAX_DEMO_BINS = 1_000_000
 
+#: Largest rebin factor: bin indices are int64.
+MAX_FACTOR = int(np.iinfo(np.int64).max)
+
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
@@ -64,7 +67,16 @@ def _parse_factor_list(spec: str, flag: str) -> list[int]:
     for v in values:
         if v < 1 or v % 2 == 0:
             raise ConfigurationError(f"{flag} entries must be odd positive integers, got {v}")
+        if v > MAX_FACTOR:
+            raise ConfigurationError(f"{flag} entries must be at most {MAX_FACTOR}, got {v}")
+    _refuse_duplicates(values, flag)
     return values
+
+
+def _refuse_duplicates(values: list, flag: str) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigurationError(f"{flag} lists {v} twice")
 
 
 def _seed(text: str) -> int:
@@ -180,6 +192,7 @@ def cmd_sweep(args) -> int:
             )
     if not witness_ids:
         raise ConfigurationError("--witnesses must not be empty")
+    _refuse_duplicates(witness_ids, "--witnesses")
     error_model = None
     if args.errors == "on":
         error_model = ErrorModel(replicates=args.replicates, seed=args.seed)

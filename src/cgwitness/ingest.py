@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BinGrid, CountHistogram
+from .binning import MAX_COUNT, BinGrid, CountHistogram, check_count_total
 from .errors import ConfigurationError, InvalidParameterError, ParseError
 
 _GEOMETRY_KEYS = (
@@ -29,7 +29,6 @@ _GEOMETRY_KEYS = (
     "micrometer_step_mm",
 )
 _REQUIRED_KEYS = ("variable_pair", "step_mm") + _GEOMETRY_KEYS
-_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,7 @@ class JointCounts:
         c = c.astype(np.int64)
         if np.any(c < 0):
             raise InvalidParameterError("counts must be nonnegative")
+        check_count_total(c)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
         rows, cols = c.shape
@@ -197,8 +197,8 @@ def load_joint_counts(path) -> JointCounts:
                 raise ParseError(f"non-integer count in {line!r}", line_number=lineno) from None
             if any(v < 0 for v in row):
                 raise ParseError("negative count", line_number=lineno)
-            if max(row) > _MAX_COUNT:
-                raise ParseError(f"count above {_MAX_COUNT}", line_number=lineno)
+            if max(row) > MAX_COUNT:
+                raise ParseError(f"count above {MAX_COUNT}", line_number=lineno)
             if row_len is None:
                 row_len = len(row)
             elif len(row) != row_len:

@@ -19,11 +19,26 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf, erfc
 
-from .binning import BinGrid, CountHistogram, DiscreteDistribution, coarse_grain
+from .binning import MAX_COUNT, BinGrid, CountHistogram, DiscreteDistribution, coarse_grain
 from .errors import InvalidParameterError, TruncationError
 from .ingest import JointCounts, OpticalGeometry, detector_to_source_scale
 
 VARIABLE_NAMES = ("x+", "x-", "p+", "p-")
+
+#: numpy's largest Poisson mean, int64 max - 10 sqrt(int64 max) ~ 9.22e18.
+MAX_EXPECTED_COUNTS = MAX_COUNT - 10.0 * math.sqrt(MAX_COUNT)
+
+#: Largest detector square sample_joint_counts builds, in cells: ~10x the
+#: 965 x 965 scan, ~80 MB per float64 array of the plan.
+MAX_DETECTOR_CELLS = 10_000_000
+
+
+def _check_total(total_expected_counts: float) -> None:
+    if not 0 < total_expected_counts <= MAX_EXPECTED_COUNTS:
+        raise InvalidParameterError(
+            f"total_expected_counts must be positive and at most {MAX_EXPECTED_COUNTS:.6g}, "
+            f"got {total_expected_counts}"
+        )
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -48,11 +63,6 @@ class GaussianTwoPhotonState:
         for name, s in (("sigma_plus", self.sigma_plus), ("sigma_minus", self.sigma_minus)):
             if not (math.isfinite(s) and s > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {s}")
-
-    @property
-    def normalization_sq(self) -> float:
-        """|amplitude|^2 prefactor as a density in (p1, p2)."""
-        return 1.0 / (math.pi * self.sigma_plus * self.sigma_minus)
 
 
 @dataclass(frozen=True)
@@ -134,13 +144,6 @@ def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
     return mass
 
 
-def classify_separable(state: GaussianTwoPhotonState, rel_tol: float = 1e-12) -> bool:
-    """True iff the state is separable, i.e. the two widths coincide."""
-    return abs(state.sigma_plus - state.sigma_minus) <= rel_tol * max(
-        state.sigma_plus, state.sigma_minus
-    )
-
-
 def coarse_grained_marginal(
     m: MarginalSpec,
     width: float,
@@ -170,17 +173,26 @@ def sample_marginal_counts(
 
     Counts in bin k are independent Poisson with mean total * mass_k.
     """
-    if not total_expected_counts > 0:
-        raise InvalidParameterError("total_expected_counts must be positive")
+    _check_total(total_expected_counts)
     d = coarse_grained_marginal(m, width, span_sigmas=span_sigmas)
     counts = _rng_from(seed).poisson(total_expected_counts * d.masses)
     return CountHistogram(d.grid, counts)
 
 
 def _plan_square(sum_std: float, diff_std: float, width: float, tries: int = 3):
-    """Choose the detector half-size N and compute the captured fraction."""
+    """Choose the detector half-size N and compute the captured fraction.
+
+    Each attempt, the first and every enlarged retry, is refused before it
+    allocates anything if its square would exceed MAX_DETECTOR_CELLS.
+    """
     n = math.ceil(3.0 * max(sum_std, diff_std) / width) + 1
     for attempt in range(tries):
+        side = 2 * n + 1
+        if side * side > MAX_DETECTOR_CELLS:
+            raise InvalidParameterError(
+                f"a {side} x {side} detector square exceeds the limit of "
+                f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
+            )
         wide = BinGrid(width, -3 * n, 3 * n)
         r_sum = coarse_grain(
             bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std)), wide, min_captured=0.0
@@ -235,8 +247,7 @@ def sample_joint_counts(
         raise InvalidParameterError(
             f"variable_pair must be 'position' or 'momentum', got {variable_pair!r}"
         )
-    if not total_expected_counts > 0:
-        raise InvalidParameterError("total_expected_counts must be positive")
+    _check_total(total_expected_counts)
     marg = exact_marginals(state)
     if variable_pair == "position":
         sum_std, diff_std = marg.x_plus.std, marg.x_minus.std

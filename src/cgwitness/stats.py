@@ -4,39 +4,28 @@ Two exact identities connect the discrete statistics of the bin masses to
 the statistics of the piecewise-constant density built from them: the
 density's variance exceeds the discrete variance by width^2/12 (the
 variance of one rectangle) and its differential entropy exceeds the
-discrete entropy by ln(width). All entropies are in nats.
+discrete entropy by ln(width). `corrected_variance` and `corrected_entropy`
+are the one definition of each correction; they broadcast, so the
+single-distribution functions here and the per-replicate arrays of
+cgwitness.uncertainty go through the same code. All entropies are in nats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from ._kernels import batch_entropy, batch_weighted_moments
-from .binning import MASS_TOLERANCE, DiscreteDistribution, HistogramDensity
-from .errors import InvalidParameterError, NormalizationError
+from .binning import DiscreteDistribution
 
 
-@dataclass(frozen=True)
-class SummaryStat:
-    """Variance and entropy of one distribution, in grid-variable units."""
-
-    variance: float
-    entropy: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.variance) and self.variance >= 0):
-            raise InvalidParameterError(f"variance must be >= 0, got {self.variance}")
-        if not math.isfinite(self.entropy):
-            raise InvalidParameterError(f"entropy must be finite, got {self.entropy}")
+def corrected_variance(variance, width: float):
+    """Histogram-density variance from the discrete variance of its masses."""
+    return variance + width**2 / 12.0
 
 
-def _check_normalized(masses: np.ndarray) -> None:
-    total = float(masses.sum())
-    if abs(total - 1.0) > MASS_TOLERANCE:
-        raise NormalizationError(f"masses sum to {total!r}, expected 1")
+def corrected_entropy(entropy, width: float):
+    """Histogram-density entropy from the discrete entropy of its masses."""
+    return entropy + math.log(width)
 
 
 def discrete_variance(d: DiscreteDistribution) -> float:
@@ -46,42 +35,28 @@ def discrete_variance(d: DiscreteDistribution) -> float:
     variance includes the spread within bins, so on smooth distributions it
     sits near sigma^2 + width^2/12, not sigma^2.
     """
-    _check_normalized(d.masses)
     _, var = batch_weighted_moments(d.masses[None, :], d.grid.centers)
     return float(var[0])
 
 
-def discrete_mean(d: DiscreteDistribution) -> float:
-    """Mean of the bin masses over the bin centers."""
-    mean, _ = batch_weighted_moments(d.masses[None, :], d.grid.centers)
-    return float(mean[0])
-
-
 def discrete_entropy(d: DiscreteDistribution) -> float:
     """Shannon entropy -sum(q ln q) in nats, with 0 ln 0 = 0."""
-    _check_normalized(d.masses)
     return float(batch_entropy(d.masses[None, :])[0])
 
 
-def histogram_variance(h: HistogramDensity) -> float:
-    """Variance of the piecewise-constant density.
+def histogram_variance(d: DiscreteDistribution) -> float:
+    """Variance of the piecewise-constant density of d.
 
     Equals the discrete variance of the masses plus width^2/12; the floor
     width^2/12 is attained exactly when one bin carries all mass.
     """
-    _, var = batch_weighted_moments(h.masses[None, :], h.grid.centers)
-    return float(var[0]) + h.grid.width**2 / 12.0
+    return corrected_variance(discrete_variance(d), d.grid.width)
 
 
-def histogram_entropy(h: HistogramDensity) -> float:
-    """Differential entropy of the piecewise-constant density (nats).
+def histogram_entropy(d: DiscreteDistribution) -> float:
+    """Differential entropy of the piecewise-constant density of d (nats).
 
     Equals the discrete entropy of the masses plus ln(width); for a single
     occupied bin this is exactly ln(width), the entropy of one rectangle.
     """
-    return float(batch_entropy(h.masses[None, :])[0]) + math.log(h.grid.width)
-
-
-def summarize_histogram(h: HistogramDensity) -> SummaryStat:
-    """Variance and entropy of a histogram density in one pass."""
-    return SummaryStat(variance=histogram_variance(h), entropy=histogram_entropy(h))
+    return corrected_entropy(discrete_entropy(d), d.grid.width)

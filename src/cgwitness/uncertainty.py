@@ -19,10 +19,11 @@ Every data witness combines one statistic of a rebinned position marginal
 with one of a rebinned momentum marginal, so `sweep_grid` resamples and
 reduces each marginal once per (axis, sign, factor), to per-replicate
 variances and entropies of shape (B,), and builds every (n, m, pairing,
-witness) cell by broadcasting those arrays through one formula per witness.
-The point estimate is the same formula on the B = 1 row of the unperturbed
-masses, and `propagate` is the 1x1 case. Replicates resample only the
-occupied bins, which is exact: Poisson(0) always draws 0.
+witness) cell by broadcasting those arrays through witnesses.witness_input
+and witness_value, the definitions the single-cell witnesses also use. The
+point estimate is the B = 1 row of the unperturbed masses, and `propagate`
+is the 1x1 case. Replicates resample only the occupied bins, which is
+exact: Poisson(0) always draws 0.
 
 Random streams: the marginal of scan axis a (0 position, 1 momentum),
 diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
@@ -50,11 +51,15 @@ from .ingest import (
     ensure_matching_geometry,
     global_marginal,
 )
-from .witnesses import DATA_WITNESS_IDS, PAIRINGS, WitnessReport
 from .witnesses import (
+    DATA_WITNESS_IDS,
+    PAIRINGS,
+    WitnessReport,
     coarse_entropic_witness,
     coarse_variance_witness,
     naive_discrete_witness,
+    witness_input,
+    witness_value,
 )
 
 #: pairing token -> diagonal signs of its (position, momentum) marginals
@@ -167,21 +172,6 @@ class _MarginalStats:
     kept: np.ndarray
     variance: np.ndarray | None
     entropy: np.ndarray | None
-
-    def witness_input(self, witness_id: str) -> np.ndarray:
-        """What this marginal contributes to the given witness."""
-        if witness_id == "coarse_variance":
-            return self.variance + self.width**2 / 12.0
-        if witness_id == "coarse_entropic":
-            return self.entropy + math.log(self.width)
-        return self.variance
-
-
-def _witness_value(witness_id: str, x_r, x_s, log_bound):
-    """A data witness from its two marginal inputs; broadcasts over arrays."""
-    if witness_id == "coarse_entropic":
-        return x_r + x_s + log_bound
-    return x_r * x_s - 1.0
 
 
 def _reduce(
@@ -297,7 +287,9 @@ def sweep_grid(
         return points, replicates
 
     def stacked(stats, witness_id):
-        return np.stack([st.witness_input(witness_id) for st in stats])
+        return np.stack(
+            [witness_input(witness_id, st.width, st.variance, st.entropy) for st in stats]
+        )
 
     log_bound = None
     out = {}
@@ -325,7 +317,7 @@ def sweep_grid(
                 raise PropagationError("fewer than 2 usable replicates")
         for witness_id in witness_ids:
             lb = log_bound if witness_id == "coarse_entropic" else None
-            values = _witness_value(
+            values = witness_value(
                 witness_id,
                 stacked(r_point, witness_id)[:, None, :],
                 stacked(s_point, witness_id)[None, :, :],
@@ -333,7 +325,7 @@ def sweep_grid(
             )[:, :, 0]
             uncertainties = None
             if em is not None:
-                replicate_values = _witness_value(
+                replicate_values = witness_value(
                     witness_id,
                     stacked(r_reps, witness_id)[:, None, :],
                     stacked(s_reps, witness_id)[None, :, :],

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binning import DiscreteDistribution, HistogramDensity, histogram_density
+from .binning import DiscreteDistribution
 from .bound import entropic_bound_constant
 from .errors import InvalidPairingError, InvalidParameterError
 from .stats import (
+    corrected_entropy,
+    corrected_variance,
     discrete_variance,
     histogram_entropy,
     histogram_variance,
@@ -107,14 +109,38 @@ def _resolve_pairing(pairing: str | None, variable_r: str | None, variable_s: st
     return pairing
 
 
-def _as_density(x) -> HistogramDensity:
-    if isinstance(x, DiscreteDistribution):
-        return histogram_density(x)
-    if isinstance(x, HistogramDensity):
-        return x
-    raise InvalidParameterError(
-        f"expected a DiscreteDistribution or HistogramDensity, got {type(x).__name__}"
-    )
+def witness_input(witness_id: str, width: float, variance, entropy):
+    """What one marginal of bin width `width` contributes to a data witness.
+
+    Takes the discrete variance and entropy of its masses (either may be
+    None when the witness does not use it); scalars or (B,) arrays.
+    """
+    if witness_id == "coarse_variance":
+        return corrected_variance(variance, width)
+    if witness_id == "coarse_entropic":
+        return corrected_entropy(entropy, width)
+    return variance
+
+
+def witness_value(witness_id: str, x_r, x_s, log_bound=None):
+    """A witness value from what its two marginals contribute.
+
+    coarse_entropic gives x_r + x_s + log_bound, with log_bound the log of
+    bound_constant(width_r * width_s); the variance-product witnesses give
+    x_r * x_s - 1. Broadcasts over arrays, so the single-cell witnesses
+    below and every cell and replicate of uncertainty.sweep_grid share it.
+    """
+    if witness_id == "coarse_entropic":
+        return x_r + x_s + log_bound
+    return x_r * x_s - 1.0
+
+
+def _check_distributions(r, s) -> None:
+    for name, d in (("r", r), ("s", s)):
+        if not isinstance(d, DiscreteDistribution):
+            raise InvalidParameterError(
+                f"{name} must be a DiscreteDistribution, got {type(d).__name__}"
+            )
 
 
 def mgvt_continuous(
@@ -134,7 +160,7 @@ def mgvt_continuous(
     return WitnessReport(
         witness_id="mgvt_continuous",
         pairing=_resolve_pairing(pairing, None, None),
-        value=var_r * var_s - 1.0,
+        value=witness_value("mgvt_continuous", var_r, var_s),
         inputs_summary={"var_r": var_r, "var_s": var_s},
         uncertainty=uncertainty,
     )
@@ -166,8 +192,8 @@ def entropic_continuous(
 
 
 def coarse_variance_witness(
-    r,
-    s,
+    r: DiscreteDistribution,
+    s: DiscreteDistribution,
     *,
     pairing: str | None = None,
     variable_r: str | None = None,
@@ -180,13 +206,13 @@ def coarse_variance_witness(
     histogram variances carry the width^2/12 term that restores reliability
     at any bin size: separable states give value >= 0 for every width pair.
     """
-    r, s = _as_density(r), _as_density(s)
+    _check_distributions(r, s)
     token = _resolve_pairing(pairing, variable_r, variable_s)
     var_r, var_s = histogram_variance(r), histogram_variance(s)
     return WitnessReport(
         witness_id="coarse_variance",
         pairing=token,
-        value=var_r * var_s - 1.0,
+        value=witness_value("coarse_variance", var_r, var_s),
         inputs_summary={"hist_var_r": var_r, "hist_var_s": var_s},
         bin_widths=(r.grid.width, s.grid.width),
         uncertainty=uncertainty,
@@ -194,8 +220,8 @@ def coarse_variance_witness(
 
 
 def coarse_entropic_witness(
-    r,
-    s,
+    r: DiscreteDistribution,
+    s: DiscreteDistribution,
     *,
     pairing: str | None = None,
     variable_r: str | None = None,
@@ -211,14 +237,14 @@ def coarse_entropic_witness(
     every bin size; as widths shrink it recovers the continuous entropic
     criterion.
     """
-    r, s = _as_density(r), _as_density(s)
+    _check_distributions(r, s)
     token = _resolve_pairing(pairing, variable_r, variable_s)
     h_r, h_s = histogram_entropy(r), histogram_entropy(s)
     bound = entropic_bound_constant(r.grid.width * s.grid.width)
     return WitnessReport(
         witness_id="coarse_entropic",
         pairing=token,
-        value=h_r + h_s + math.log(bound),
+        value=witness_value("coarse_entropic", h_r, h_s, math.log(bound)),
         inputs_summary={"hist_h_r": h_r, "hist_h_s": h_s, "bound_constant": bound},
         bin_widths=(r.grid.width, s.grid.width),
         uncertainty=uncertainty,
@@ -243,16 +269,13 @@ def naive_discrete_witness(
     the value goes negative on separable states. Kept only to demonstrate
     that failure mode; never use it for detection.
     """
-    if isinstance(r, HistogramDensity):
-        r = DiscreteDistribution(r.grid, r.masses)
-    if isinstance(s, HistogramDensity):
-        s = DiscreteDistribution(s.grid, s.masses)
+    _check_distributions(r, s)
     token = _resolve_pairing(pairing, variable_r, variable_s)
     var_r, var_s = discrete_variance(r), discrete_variance(s)
     return WitnessReport(
         witness_id="naive_discrete",
         pairing=token,
-        value=var_r * var_s - 1.0,
+        value=witness_value("naive_discrete", var_r, var_s),
         inputs_summary={"discrete_var_r": var_r, "discrete_var_s": var_s},
         bin_widths=(r.grid.width, s.grid.width),
         uncertainty=uncertainty,

@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import pro_rad1
 
 from cgwitness import GaussianTwoPhotonState, OpticalGeometry
 from cgwitness.binning import BinGrid, DiscreteDistribution
+from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, concentration_eigenvalue
 
 
 @pytest.fixture
@@ -43,3 +47,20 @@ def radial_first_kind_specfun(c: float) -> float:
     h = 1e-9
     value, slope = pro_rad1(0, 0, c, 1.0 + h)
     return float(value - h * slope)
+
+
+@lru_cache(maxsize=1)
+def branch_switch_gamma() -> float:
+    """Width product where the bound constant leaves the flat branch.
+
+    Unique root of lambda0(g/8)/g = 1/(2*pi*e); below it the bound constant
+    is exactly 1/(2*pi*e), above it strictly smaller.
+    """
+    return float(
+        brentq(
+            lambda g: concentration_eigenvalue(g / 8.0) / g - CONTINUOUS_BOUND_CONSTANT,
+            10.0,
+            20.0,
+            xtol=1e-10,
+        )
+    )

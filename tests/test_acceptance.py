@@ -47,10 +47,9 @@ def test_criterion_2_correction_identities():
     worst_quad = 0.0
     for _ in range(200):
         d = random_discrete(rng)
-        h = cg.histogram_density(d)
         w = d.grid.width
 
-        hv, he = cg.histogram_variance(h), cg.histogram_entropy(h)
+        hv, he = cg.histogram_variance(d), cg.histogram_entropy(d)
         worst_ident = max(
             worst_ident,
             abs(hv - (cg.discrete_variance(d) + w * w / 12.0)),
@@ -60,13 +59,13 @@ def test_criterion_2_correction_identities():
         # direct Gauss-Legendre quadrature of the piecewise-constant density
         lo = (d.grid.indices - 0.5) * w
         nodes = lo[:, None] + (glq_x[None, :] + 1.0) * (w / 2.0)
-        rho = h.densities[:, None]
+        rho = d.densities[:, None]
         quad = lambda f: float(np.sum(glq_w[None, :] * f * rho) * w / 2.0)
         mean = quad(nodes)
         var_q = quad((nodes - mean) ** 2)
-        pieces = h.densities > 0.0
+        pieces = d.densities > 0.0
         ent_q = float(
-            -(h.densities[pieces] * np.log(h.densities[pieces]) * w).sum()
+            -(d.densities[pieces] * np.log(d.densities[pieces]) * w).sum()
         )
         worst_quad = max(worst_quad, abs(hv - var_q), abs(he - ent_q))
     ok = worst_ident < 1e-10 and worst_quad < 1e-8

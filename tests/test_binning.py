@@ -8,14 +8,23 @@ from cgwitness.binning import (
     BinGrid,
     CountHistogram,
     DiscreteDistribution,
-    HistogramDensity,
     coarse_grain,
-    histogram_density,
     rebin,
-    rect_indicator,
 )
 from cgwitness.errors import InvalidParameterError, TruncationError
 from conftest import random_discrete
+
+
+def _bin_edges(grid):
+    """The [lo, hi] interval coarse_grain integrates over for each bin of grid."""
+    seen = []
+
+    def oracle(lo, hi):
+        seen.append((np.asarray(lo), np.asarray(hi)))
+        return np.full(np.shape(lo), 1.0 / grid.n_bins)
+
+    coarse_grain(oracle, grid)
+    return seen[0]
 
 
 class TestBinGrid:
@@ -24,31 +33,24 @@ class TestBinGrid:
         assert g.n_bins == 6
         assert list(g.indices) == [-2, -1, 0, 1, 2, 3]
         np.testing.assert_allclose(g.centers, np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
-        lo, hi = g.edges(0)
-        assert lo == -0.25 and hi == 0.25
+        lo, hi = _bin_edges(g)
+        assert lo[2] == -0.25 and hi[2] == 0.25
 
     def test_edges_tile_the_line(self):
+        # bin j is [(j - 1/2) w, (j + 1/2) w] around its center j w
         g = BinGrid(0.7, -4, 4)
-        for j in range(-4, 4):
-            assert g.edges(j)[1] == pytest.approx(g.edges(j + 1)[0], abs=1e-15)
-
-    def test_index_of_tie_break_goes_up(self):
-        g = BinGrid(1.0, -5, 5)
-        # shared boundary belongs to the upper bin: [(j-1/2)w, (j+1/2)w)
-        assert g.index_of(0.5) == 1
-        assert g.index_of(-0.5) == 0
-        assert g.index_of(0.49999) == 0
-        assert g.index_of(0.0) == 0
-
-    def test_index_of_hits_own_center(self):
-        g = BinGrid(0.31, -7, 9)
-        for j in g.indices:
-            assert g.index_of(j * g.width) == j
+        lo, hi = _bin_edges(g)
+        np.testing.assert_allclose(hi[:-1], lo[1:], rtol=0, atol=1e-15)
+        np.testing.assert_allclose((lo + hi) / 2, g.centers, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(hi - lo, 0.7, rtol=1e-14)
 
     def test_spanning_covers_interval(self):
         g = BinGrid.spanning(0.3, -1.0, 2.0)
-        assert g.index_of(-1.0) >= g.j_min
-        assert g.index_of(2.0) <= g.j_max
+        assert (g.j_min - 0.5) * g.width <= -1.0
+        assert (g.j_max + 0.5) * g.width >= 2.0
+        # and is the smallest such grid: dropping an end bin uncovers the span
+        assert (g.j_min + 0.5) * g.width > -1.0
+        assert (g.j_max - 0.5) * g.width < 2.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -57,21 +59,6 @@ class TestBinGrid:
             BinGrid(-1.0, 0, 1)
         with pytest.raises(InvalidParameterError):
             BinGrid(1.0, 2, 1)
-
-
-class TestRectIndicator:
-    def test_closed_interval(self):
-        assert rect_indicator(0, 1.0, 0.5) == 1
-        assert rect_indicator(0, 1.0, -0.5) == 1
-        assert rect_indicator(0, 1.0, 0.5000001) == 0
-        assert rect_indicator(3, 0.5, 1.5) == 1
-        assert rect_indicator(3, 0.5, 1.24) == 0
-
-    def test_partition_of_unity_inside_bins(self):
-        # away from shared edges exactly one indicator fires
-        for z in [-1.3, -0.2, 0.0, 0.7, 2.2]:
-            hits = sum(rect_indicator(j, 1.0, z) for j in range(-5, 6))
-            assert hits == 1
 
 
 class TestCoarseGrain:
@@ -141,12 +128,18 @@ class TestRebin:
 class TestHistogramDensity:
     def test_densities_divide_by_width(self):
         d = DiscreteDistribution(BinGrid(0.25, 0, 3), np.array([0.1, 0.2, 0.3, 0.4]))
-        h = histogram_density(d)
-        assert isinstance(h, HistogramDensity)
-        np.testing.assert_allclose(h.densities, d.masses / 0.25)
+        np.testing.assert_allclose(d.densities, d.masses / 0.25)
 
     def test_negative_masses_rejected(self):
         with pytest.raises(InvalidParameterError):
             DiscreteDistribution(BinGrid(1.0, 0, 1), np.array([0.5, -0.1]))
         with pytest.raises(InvalidParameterError):
             CountHistogram(BinGrid(1.0, 0, 1), np.array([1, -2]))
+
+
+class TestCountHistogram:
+    def test_total_above_int64_rejected(self):
+        big = 2**62
+        assert CountHistogram(BinGrid(1.0, 0, 1), np.array([big - 1, big])).total == 2**63 - 1
+        with pytest.raises(InvalidParameterError, match="total above"):
+            CountHistogram(BinGrid(1.0, 0, 1), np.array([big, big]))

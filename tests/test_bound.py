@@ -5,7 +5,6 @@ import pytest
 from scipy.special import pro_cv
 
 from cgwitness import (
-    branch_switch_gamma,
     characteristic_solution,
     concentration_eigenvalue,
     entropic_bound_constant,
@@ -13,7 +12,7 @@ from cgwitness import (
 )
 from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, MAX_PARAMETER, SERIES_TAIL_SWITCH
 from cgwitness.errors import InvalidParameterError
-from conftest import radial_first_kind_specfun
+from conftest import branch_switch_gamma, radial_first_kind_specfun
 
 FLAT = 1.0 / (2.0 * math.e * math.pi)
 

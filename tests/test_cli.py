@@ -375,6 +375,66 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "--multiplier" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n-list", "1,9223372036854775809"),
+            ("--m-list", "1,9223372036854775809"),
+            ("--n-list", "1,1"),
+            ("--m-list", "3,1,3"),
+            ("--witnesses", "coarse_variance,coarse_variance"),
+        ],
+        ids=["n_above_int64", "m_above_int64", "n_duplicate", "m_duplicate", "witness_duplicate"],
+    )
+    def test_bad_list_flag_exits_2_without_traceback(self, tmp_path, flags):
+        pos, mom = _simulate(tmp_path)
+        proc = _run_cli(
+            "sweep", str(pos), str(mom), "--errors", "off", "--n-list", "1", "--m-list", "1", *flags
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert flags[0] in proc.stderr
+        assert proc.stdout == ""
+
+    def test_largest_factor_still_runs(self, tmp_path, capsys):
+        pos, mom = _simulate(tmp_path)
+        assert main([
+            "sweep", str(pos), str(mom), "--errors", "off",
+            "--n-list", "1,9223372036854775807", "--m-list", "1",
+        ]) == 0
+        assert "9223372036854775807,1," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "demo-false-positive"])
+    @pytest.mark.parametrize("total", ["1e19", "1e30", "inf"])
+    def test_total_counts_beyond_poisson_limit_is_usage_error(
+        self, tmp_path, capsys, command, total
+    ):
+        extra = ["--output-prefix", str(tmp_path / "scan")] if command == "simulate" else []
+        assert main([command, "--total-counts", total, *extra]) == 2
+        assert "total_expected_counts" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_total_above_int64_exits_2_without_traceback(self, tmp_path):
+        # two counts of 5e18 each fit int64; the scan total does not
+        pos, mom = _simulate(tmp_path)
+        lines = pos.read_bytes().splitlines()
+        for k in (-1, -2):
+            lines[k] = b"5000000000000000000" + lines[k][lines[k].index(b","):]
+        pos.write_bytes(b"\n".join(lines) + b"\n")
+        proc = _run_cli("sweep", str(pos), str(mom), "--errors", "off")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "total above 9223372036854775807" in proc.stderr
+
+    # each would need a detector square of 10^19 cells or more (>= 5 TiB
+    # for its first array); it must be refused before any allocation
+    @pytest.mark.parametrize(
+        "flag,value", [("--sigma-plus", "1e-9"), ("--s-x-mm", "1e-12"), ("--s-p-mm", "1e-13")]
+    )
+    def test_oversized_detector_square_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert main(["simulate", flag, value, "--output-prefix", str(tmp_path / "scan")]) == 2
+        assert "detector square" in capsys.readouterr().err
+
 
 class TestImportPath:
     def test_cli_import_skips_scipy_integrate_and_optimize(self):

@@ -75,6 +75,13 @@ class TestJointCounts:
                 geometry=geometry,
             )
 
+    def test_total_above_int64_rejected(self, geometry):
+        big = 2**62
+        ok = JointCounts("position", 0.05, np.array([[big - 1, big]]), geometry)
+        assert ok.total == 2**63 - 1
+        with pytest.raises(InvalidParameterError, match="total above"):
+            JointCounts("position", 0.05, np.array([[big, big]]), geometry)
+
     def test_default_origins_are_centered(self, geometry):
         jc = JointCounts(
             variable_pair="momentum",
@@ -225,6 +232,12 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             load_joint_counts(path)
         assert exc.value.line_number == 11
+
+    def test_total_above_int64(self, tmp_path):
+        row = "5000000000000000000,5000000000000000000\n"
+        path = _write(tmp_path, self._header() + row + "1,2\n")
+        with pytest.raises(ParseError, match="total above"):
+            load_joint_counts(path)
 
     def test_non_utf8_bytes_report_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"

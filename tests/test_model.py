@@ -8,7 +8,6 @@ from cgwitness import (
     GaussianTwoPhotonState,
     MarginalSpec,
     bin_mass_oracle,
-    classify_separable,
     coarse_grained_marginal,
     detector_to_source_scale,
     exact_marginals,
@@ -16,7 +15,9 @@ from cgwitness import (
     sample_joint_counts,
     sample_marginal_counts,
 )
+from cgwitness import model
 from cgwitness.errors import InvalidParameterError
+from cgwitness.model import MAX_EXPECTED_COUNTS
 
 
 class TestState:
@@ -27,12 +28,6 @@ class TestState:
             GaussianTwoPhotonState(1.0, -2.0)
         with pytest.raises(InvalidParameterError):
             GaussianTwoPhotonState(1.0, math.inf)
-
-    def test_classify_separable(self):
-        assert classify_separable(GaussianTwoPhotonState(1.0, 1.0))
-        assert classify_separable(GaussianTwoPhotonState(1.0, 1.0 + 1e-13))
-        assert not classify_separable(GaussianTwoPhotonState(1.0, 1.0 + 1e-6))
-        assert not classify_separable(GaussianTwoPhotonState(2.0, 0.5))
 
     def test_marginal_reciprocal_duality(self):
         st = GaussianTwoPhotonState(2.0, 0.5)
@@ -144,6 +139,26 @@ class TestSampling:
         st = GaussianTwoPhotonState(100.0, 1.0)
         with pytest.warns(UserWarning):
             sample_joint_counts(st, geometry, "position", 1e4, seed=3)
+
+    @pytest.mark.parametrize("total", [1e19, math.inf, math.nan])
+    def test_total_beyond_poisson_limit_rejected(self, entangled_state, geometry, total):
+        with pytest.raises(InvalidParameterError, match="total_expected_counts"):
+            sample_joint_counts(entangled_state, geometry, "position", total, seed=0)
+        with pytest.raises(InvalidParameterError, match="total_expected_counts"):
+            sample_marginal_counts(MarginalSpec("x+", 0.0, 1.0), 0.5, total, seed=0)
+
+    def test_total_at_poisson_limit_draws(self):
+        h = sample_marginal_counts(MarginalSpec("x+", 0.0, 1.0), 3.0, MAX_EXPECTED_COUNTS, seed=0)
+        assert h.total == pytest.approx(MAX_EXPECTED_COUNTS, rel=1e-8)
+
+    def test_detector_square_limit(self, geometry, monkeypatch):
+        # the default state's position scan is a 101 x 101 square
+        st = GaussianTwoPhotonState(10.0, 2.5)
+        monkeypatch.setattr(model, "MAX_DETECTOR_CELLS", 101 * 101)
+        sample_joint_counts(st, geometry, "position", 1e4, seed=0)
+        monkeypatch.setattr(model, "MAX_DETECTOR_CELLS", 101 * 101 - 1)
+        with pytest.raises(InvalidParameterError, match="101 x 101 detector square"):
+            sample_joint_counts(st, geometry, "position", 1e4, seed=0)
 
     def test_invalid_arguments(self, entangled_state, geometry):
         with pytest.raises(InvalidParameterError):

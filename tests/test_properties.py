@@ -12,7 +12,6 @@ from cgwitness import (
     discrete_entropy,
     discrete_variance,
     entropic_bound_constant,
-    histogram_density,
     histogram_entropy,
     histogram_variance,
     radial_first_kind,
@@ -56,17 +55,15 @@ class TestCorrectionIdentities:
     @given(discrete_distributions())
     @settings(max_examples=120, deadline=None)
     def test_variance_correction(self, d):
-        h = histogram_density(d)
         w = d.grid.width
-        lhs = histogram_variance(h)
+        lhs = histogram_variance(d)
         rhs = discrete_variance(d) + w * w / 12.0
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     @given(discrete_distributions())
     @settings(max_examples=120, deadline=None)
     def test_entropy_correction(self, d):
-        h = histogram_density(d)
-        lhs = histogram_entropy(h)
+        lhs = histogram_entropy(d)
         rhs = discrete_entropy(d) + math.log(d.grid.width)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -104,28 +101,6 @@ class TestRebinProperties:
         d = h.normalize()
         r = rebin(h, factor).normalize()
         assert discrete_entropy(r) <= discrete_entropy(d) + 1e-10
-
-
-class TestGridProperties:
-    @given(
-        st.floats(min_value=1e-3, max_value=50.0),
-        st.integers(min_value=-30, max_value=30),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_index_of_center_roundtrip(self, width, j):
-        g = BinGrid(width, min(j, -1), max(j, 1))
-        assert g.index_of(j * width) == j
-
-    @given(
-        st.floats(min_value=1e-3, max_value=50.0),
-        st.floats(min_value=-100.0, max_value=100.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_index_of_respects_edges(self, width, z):
-        g = BinGrid(width, -10_000, 10_000)
-        j = g.index_of(z)
-        lo, hi = g.edges(j)
-        assert lo <= z < hi or z == pytest.approx(lo, abs=1e-12)
 
 
 class TestBoundProperties:

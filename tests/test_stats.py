@@ -7,12 +7,9 @@ from cgwitness import (
     MarginalSpec,
     coarse_grained_marginal,
     discrete_entropy,
-    discrete_mean,
     discrete_variance,
-    histogram_density,
     histogram_entropy,
     histogram_variance,
-    summarize_histogram,
 )
 from cgwitness.binning import BinGrid, DiscreteDistribution
 from cgwitness.errors import NormalizationError
@@ -37,11 +34,6 @@ class TestDiscreteStats:
         assert h == pytest.approx(1.4589588197937575, rel=1e-9)
         assert h > CONTINUOUS_GAUSSIAN_ENTROPY
 
-    def test_mean_matches_weighted_centers(self):
-        d = DiscreteDistribution(BinGrid(0.5, -1, 2), np.array([0.1, 0.2, 0.3, 0.4]))
-        mu = (d.grid.centers * d.masses).sum()
-        assert discrete_mean(d) == pytest.approx(mu, rel=1e-14)
-
     def test_large_bins_collapse_variance(self):
         # one dominant central bin: discrete variance far below sigma^2
         d = coarse_grained_marginal(MarginalSpec("x+", 0.0, 1.0), 6.0)
@@ -57,9 +49,8 @@ class TestHistogramCorrections:
         rng = np.random.default_rng(10)
         for _ in range(25):
             d = random_discrete(rng)
-            h = histogram_density(d)
             w = d.grid.width
-            assert histogram_variance(h) == pytest.approx(
+            assert histogram_variance(d) == pytest.approx(
                 discrete_variance(d) + w * w / 12.0, abs=1e-12
             )
 
@@ -67,37 +58,26 @@ class TestHistogramCorrections:
         rng = np.random.default_rng(11)
         for _ in range(25):
             d = random_discrete(rng)
-            h = histogram_density(d)
-            assert histogram_entropy(h) == pytest.approx(
+            assert histogram_entropy(d) == pytest.approx(
                 discrete_entropy(d) + math.log(d.grid.width), abs=1e-12
             )
 
     def test_anchor_unit_gaussian(self, unit_gaussian_unit_bins):
-        h = histogram_density(unit_gaussian_unit_bins)
-        assert histogram_variance(h) == pytest.approx(1.1666666556944518, rel=1e-9)
+        d = unit_gaussian_unit_bins
+        assert histogram_variance(d) == pytest.approx(1.1666666556944518, rel=1e-9)
         # ln(1) = 0: histogram and discrete entropies coincide at unit width
-        assert histogram_entropy(h) == pytest.approx(1.4589588197937575, rel=1e-9)
+        assert histogram_entropy(d) == pytest.approx(1.4589588197937575, rel=1e-9)
 
     def test_single_bin_floors(self):
         # all mass in one bin: variance floor w^2/12, entropy floor ln w
         for w in (0.05, 1.0, 7.0):
             d = DiscreteDistribution(BinGrid(w, 0, 0), np.array([1.0]))
-            h = histogram_density(d)
-            assert histogram_variance(h) == pytest.approx(w * w / 12.0, rel=1e-14)
-            assert histogram_entropy(h) == pytest.approx(math.log(w), rel=1e-14, abs=1e-14)
-
-    def test_summarize_histogram_bundles_both(self):
-        rng = np.random.default_rng(12)
-        d = random_discrete(rng)
-        h = histogram_density(d)
-        s = summarize_histogram(h)
-        assert s.variance == pytest.approx(histogram_variance(h), rel=1e-14)
-        assert s.entropy == pytest.approx(histogram_entropy(h), rel=1e-14)
+            assert histogram_variance(d) == pytest.approx(w * w / 12.0, rel=1e-14)
+            assert histogram_entropy(d) == pytest.approx(math.log(w), rel=1e-14, abs=1e-14)
 
     def test_fine_bins_recover_continuous_gaussian(self):
         w = 0.01
         d = coarse_grained_marginal(MarginalSpec("x+", 0.0, 1.0), w)
-        h = histogram_density(d)
         # quantization and the histogram correction each add w^2/12
-        assert histogram_variance(h) == pytest.approx(1.0 + w * w / 6.0, rel=1e-9)
-        assert histogram_entropy(h) == pytest.approx(CONTINUOUS_GAUSSIAN_ENTROPY, rel=1e-5)
+        assert histogram_variance(d) == pytest.approx(1.0 + w * w / 6.0, rel=1e-9)
+        assert histogram_entropy(d) == pytest.approx(CONTINUOUS_GAUSSIAN_ENTROPY, rel=1e-5)

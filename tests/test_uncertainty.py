@@ -12,6 +12,7 @@ from cgwitness import (
     propagate,
     sample_joint_counts,
 )
+from cgwitness.cli import DEFAULT_FACTORS
 from cgwitness.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -239,14 +240,18 @@ class TestSweepGrid:
             assert got == pytest.approx(want, rel=tol), (n, m, pairing)
 
     def test_values_match_pipeline_evaluate(self, scans):
+        # the single-cell witnesses are the B = 1 case of the batched
+        # formulas, so every cell of the default grid agrees bit for bit
         pos, mom = scans
-        grid = sweep_grid(pos, mom, [1, 3], [1, 5])
+        factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
+        grid = sweep_grid(pos, mom, factors, factors)
+        assert len(grid) == 2 * 3
         for (pairing, witness_id), (values, unc) in grid.items():
             assert unc is None
-            for i, n in enumerate([1, 3]):
-                for j, m in enumerate([1, 5]):
+            for i, n in enumerate(factors):
+                for j, m in enumerate(factors):
                     want = WitnessPipeline(witness_id, pairing, n, m).evaluate(pos, mom).value
-                    assert values[i, j] == want
+                    assert values[i, j] == want, (pairing, witness_id, n, m)
 
     def test_propagate_is_the_one_cell_case(self, scans):
         # each marginal draws from its own (axis, sign, factor) stream, so a

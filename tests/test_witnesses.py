@@ -19,7 +19,6 @@ from cgwitness import (
     entropic_bound_constant,
     entropic_continuous,
     exact_marginals,
-    histogram_density,
     mgvt_continuous,
     naive_discrete_witness,
 )
@@ -163,11 +162,15 @@ class TestCoarseWitnesses:
         ) - 1.0
         assert coarse.value == pytest.approx(reconstructed, rel=1e-12)
 
-    def test_histogram_inputs_equivalent(self):
+    @pytest.mark.parametrize(
+        "witness", [coarse_variance_witness, coarse_entropic_witness, naive_discrete_witness]
+    )
+    def test_non_distribution_rejected(self, witness):
         r, s = _pm_inputs(0.3, 0.2)
-        a = coarse_variance_witness(r, s).value
-        b = coarse_variance_witness(histogram_density(r), histogram_density(s)).value
-        assert a == pytest.approx(b, rel=1e-14)
+        with pytest.raises(InvalidParameterError, match="DiscreteDistribution"):
+            witness(r, s.masses)
+        with pytest.raises(InvalidParameterError, match="DiscreteDistribution"):
+            witness(None, s)
 
     def test_separable_coarse_witnesses_nonnegative_spotcheck(self):
         for width in (0.05, 0.5, 2.0, 5.0):
