@@ -12,15 +12,17 @@ the lowest eigenvalue of the sinc concentration kernel, so the second
 branch equals lambda0(g/8)/g. This file provides:
 
   * the characteristic value and Legendre expansion of the ground
-    angular eigenfunction via a symmetric tridiagonal eigenproblem,
-    with adaptive truncation;
+    angular eigenfunction from the symmetrized tridiagonal eigenproblem,
+    truncated and solved densely by numpy;
   * the radial function of the first kind via the spherical Bessel
-    series (Slepian & Pollak 1961), valid up to c = 14;
+    series (Slepian & Pollak 1961), valid up to c = 14, with the Bessel
+    functions from Miller's backward recurrence;
   * the bound constant itself, with an asymptotic tail beyond c = 14
     where the Bessel series loses accuracy to cancellation.
 
-The test suite checks the series against scipy's independent prolate
-routines (Zhang & Jin's specfun) on the whole series domain.
+Only numpy is needed. The test suite checks the series against scipy's
+independent prolate routines (Zhang & Jin's specfun) on the whole series
+domain.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import spherical_jn
 
 from .errors import ConvergenceError, InvalidParameterError
 
@@ -38,14 +38,10 @@ from .errors import ConvergenceError, InvalidParameterError
 #: the continuous entropic bound ln(2*pi*e).
 CONTINUOUS_BOUND_CONSTANT = 1.0 / (2.0 * math.pi * math.e)
 
-#: Largest eigenproblem parameter accepted before refusing outright.
-MAX_PARAMETER = 1.0e4
-
 #: Above this c the series route is replaced by the asymptotic tail of the
 #: concentration eigenvalue (series cancellation error crosses ~1e-7 there,
 #: while the tail is accurate to < 1e-12 and improving).
 SERIES_TAIL_SWITCH = 14.0
-
 
 @dataclass(frozen=True)
 class CharacteristicSolution:
@@ -92,7 +88,7 @@ def _equator_values(order: int) -> np.ndarray:
 
 def _solve_truncated(c: float, order: int):
     diag, off = _tridiagonal(c, order)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     chi = float(vals[0])
     v = vecs[:, 0]
     # undo the symmetrizing similarity transform to recover the d_{2k}
@@ -105,76 +101,71 @@ def _solve_truncated(c: float, order: int):
     return chi, d
 
 
-def characteristic_solution(
-    c: float, *, tol: float = 1e-13, max_order: int = 2048
-) -> CharacteristicSolution:
+def characteristic_solution(c: float) -> CharacteristicSolution:
     """Lowest characteristic value and expansion coefficients at parameter c.
 
-    The truncation order starts at max(32, 2c + 20) and doubles until the
-    characteristic value moves by less than tol and the last retained
-    coefficient is below 1e-14 of the largest.
-
     Raises:
-        InvalidParameterError: c negative, non-finite, or above MAX_PARAMETER.
-        ConvergenceError: not converged by max_order.
+        InvalidParameterError: c outside [0, SERIES_TAIL_SWITCH], the only
+            domain where the series route uses the solution (at c = 50 the
+            series would even have the wrong sign).
+        ConvergenceError: the last retained coefficients are not below
+            1e-14 of the largest.
     """
     c = float(c)
-    if not math.isfinite(c) or c < 0:
-        raise InvalidParameterError(f"parameter must be finite and nonnegative, got {c}")
-    if c > MAX_PARAMETER:
-        raise InvalidParameterError(f"parameter {c} exceeds supported maximum {MAX_PARAMETER}")
+    if not 0 <= c <= SERIES_TAIL_SWITCH:
+        raise InvalidParameterError(f"parameter must lie in [0, {SERIES_TAIL_SWITCH}], got {c}")
     if c == 0.0:
         return CharacteristicSolution(0.0, 0.0, np.array([1.0]))
     if c < 1e-150:
         # below this the tridiagonal entries (all ~ c^2) would leave the
         # normal floating-point range; the c -> 0 solution is exact to eps
         return CharacteristicSolution(c, c * c / 3.0, np.array([1.0]))
-    order = max(32, int(2.0 * c) + 20)
-    chi_prev = None
-    while order <= max_order:
-        chi, d = _solve_truncated(c, order)
-        tail_ok = np.max(np.abs(d[-3:])) <= 1e-14 * np.max(np.abs(d))
-        # the tridiagonal eigensolver's own noise floor scales with the
-        # matrix norm (~ the largest diagonal entry), so allow for it when
-        # comparing consecutive truncation orders
-        ell_max = 2.0 * (order - 1)
-        noise = 32.0 * np.finfo(np.float64).eps * (ell_max * (ell_max + 1.0) + c * c)
-        if (
-            chi_prev is not None
-            and abs(chi - chi_prev) <= tol * max(1.0, abs(chi)) + noise
-            and tail_ok
-        ):
-            return CharacteristicSolution(c, chi, d)
-        chi_prev = chi
-        order *= 2
-    raise ConvergenceError(
-        f"characteristic value did not stabilize by truncation order {max_order} (c={c})"
-    )
+    # 64 up to c = 6, 96 at c = 14: over three times the order where the
+    # last coefficients fall below 1e-14 of the largest (6 at c = 0.01, 20
+    # at c = 14), so one solve suffices
+    order = 2 * max(32, int(2.0 * c) + 20)
+    chi, d = _solve_truncated(c, order)
+    if np.max(np.abs(d[-3:])) > 1e-14 * np.max(np.abs(d)):
+        raise ConvergenceError(f"expansion not converged at truncation order {order} (c={c})")
+    return CharacteristicSolution(c, chi, d)
 
 
-def radial_first_kind(sol: CharacteristicSolution, xi: float = 1.0) -> float:
-    """Radial function of the first kind from the spherical Bessel series.
+def _even_spherical_jn(count: int, x: float) -> np.ndarray:
+    """Spherical Bessel functions j_0(x), j_2(x), ..., j_{2 count - 2}(x), x > 0."""
+    top = 2 * count - 1
+    if x < 1e-3:
+        # x^n/(2n+1)!! times three terms of the ascending series (relative
+        # error < x^6/48); exact down to subnormal x, where j_n -> 0 for n > 0
+        n = np.arange(top + 1.0)
+        lead = np.cumprod(np.concatenate(([1.0], x / (2.0 * n[1:] + 1.0))))
+        half = 0.5 * x * x
+        return (lead * (1.0 - half / (2.0 * n + 3.0) * (1.0 - half / (4.0 * n + 10.0))))[::2]
+    # Miller: j_{n-1} = (2n+1)/x j_n - j_{n+1} downward from j_{start+1} = 0,
+    # stable for the minimal solution j_n; rescale to stay in range
+    start = top + 20 + int(x)
+    j = [0.0, 1.0]
+    for n in range(start, 0, -1):
+        j.append((2 * n + 1) / x * j[-1] - j[-2])
+        if abs(j[-1]) > 1e250:
+            j = [v * 1e-250 for v in j]
+    j = np.array(j[::-1])
+    # normalize by the larger of j_0, j_1, which is never close to a zero
+    j0, j1 = math.sin(x) / x, (math.sin(x) / x - math.cos(x)) / x
+    return j[: 2 * count : 2] * (j0 / j[0] if abs(j0) >= abs(j1) else j1 / j[1])
 
-    Value = sum_k (-1)^k d_{2k} j_{2k}(c*xi) / sum_k d_{2k}; the ratio makes
-    the result independent of the coefficient normalization.
 
-    Raises:
-        InvalidParameterError: xi negative or non-finite, or sol.c above
-            SERIES_TAIL_SWITCH, where cancellation in the series leaves the
-            value meaningless (at c = 50 it even has the wrong sign).
+def radial_first_kind(sol: CharacteristicSolution) -> float:
+    """Radial function of the first kind at radial coordinate 1.
+
+    Value = sum_k (-1)^k d_{2k} j_{2k}(c) / sum_k d_{2k} (the spherical
+    Bessel series); the ratio makes the result independent of the
+    coefficient normalization.
     """
-    if not (math.isfinite(xi) and xi >= 0):
-        raise InvalidParameterError(f"xi must be finite and nonnegative, got {xi}")
-    if sol.c > SERIES_TAIL_SWITCH:
-        raise InvalidParameterError(
-            f"series route is valid only for c <= {SERIES_TAIL_SWITCH}, got c = {sol.c}"
-        )
     d = sol.coefficients
     if sol.c == 0.0:
         return 1.0
-    k = np.arange(d.size)
-    num = np.sum((-1.0) ** k * d * spherical_jn(2 * k, sol.c * xi))
-    return float(num / np.sum(d))
+    signs = (-1.0) ** np.arange(d.size)
+    return float(np.sum(signs * d * _even_spherical_jn(d.size, sol.c)) / np.sum(d))
 
 
 def concentration_eigenvalue(c: float) -> float:
@@ -188,7 +179,7 @@ def concentration_eigenvalue(c: float) -> float:
     if not math.isfinite(c) or c <= 0:
         raise InvalidParameterError(f"parameter must be finite and positive, got {c}")
     if c <= SERIES_TAIL_SWITCH:
-        r = radial_first_kind(characteristic_solution(c), 1.0)
+        r = radial_first_kind(characteristic_solution(c))
         return min(1.0, (2.0 * c / math.pi) * r * r)
     tail = 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
     return max(0.0, min(1.0, 1.0 - tail))
@@ -214,7 +205,7 @@ def entropic_bound_constant(width_product: float) -> float:
     if c <= SERIES_TAIL_SWITCH:
         # lambda0(c)/g with lambda0 = (2c/pi) r^2 and g = 8c: the c cancels,
         # so evaluate r^2/(4 pi) directly and stay exact down to g ~ 1e-308
-        r = radial_first_kind(characteristic_solution(c), 1.0)
+        r = radial_first_kind(characteristic_solution(c))
         curved = r * r / (4.0 * math.pi)
     else:
         curved = concentration_eigenvalue(c) / g

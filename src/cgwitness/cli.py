@@ -45,6 +45,10 @@ MAX_DEMO_BINS = 1_000_000
 #: Largest rebin factor: bin indices are int64.
 MAX_FACTOR = int(np.iinfo(np.int64).max)
 
+#: Largest bound-table: up to ~1.3 ms per value (the series route near gamma = 112),
+#: so at most ~2 minutes of work.
+MAX_TABLE_POINTS = 100_000
+
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
@@ -294,8 +298,8 @@ def cmd_demo_false_positive(args) -> int:
 def cmd_bound_table(args) -> int:
     if not args.gamma_max > args.gamma_min:
         raise ConfigurationError("--gamma-max must exceed --gamma-min")
-    if args.points < 2:
-        raise ConfigurationError("--points must be at least 2")
+    if not 2 <= args.points <= MAX_TABLE_POINTS:
+        raise ConfigurationError(f"--points must be between 2 and {MAX_TABLE_POINTS}, got {args.points}")
     if args.spacing == "log":
         if not args.gamma_min > 0:
             raise ConfigurationError("log spacing requires --gamma-min > 0")

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .binning import MAX_COUNT, BinGrid, CountHistogram, DiscreteDistribution, coarse_grain
 from .errors import InvalidParameterError, TruncationError
 from .ingest import JointCounts, OpticalGeometry, detector_to_source_scale
 
 VARIABLE_NAMES = ("x+", "x-", "p+", "p-")
+
+# numpy has no error function: apply math's elementwise
+_erf = np.vectorize(math.erf, otypes=[np.float64])
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 #: numpy's largest Poisson mean, int64 max - 10 sqrt(int64 max) ~ 9.22e18.
 MAX_EXPECTED_COUNTS = MAX_COUNT - 10.0 * math.sqrt(MAX_COUNT)
@@ -134,11 +137,13 @@ def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
         b = (np.asarray(hi, dtype=np.float64) - mean) / (std * rt2)
         if np.any(a > b):
             raise InvalidParameterError("interval must have lo <= hi")
-        out = np.where(
-            a >= 0,
-            0.5 * (erfc(a) - erfc(b)),
-            np.where(b <= 0, 0.5 * (erfc(-b) - erfc(-a)), 0.5 * (erf(b) - erf(a))),
-        )
+        # mirror intervals left of the mean, then each takes one formula
+        left = (a < 0) & (b <= 0)
+        a, b = np.where(left, -b, a), np.where(left, -a, b)
+        tail = a >= 0
+        out = np.empty(a.shape)
+        out[tail] = 0.5 * (_erfc(a[tail]) - _erfc(b[tail]))
+        out[~tail] = 0.5 * (_erf(b[~tail]) - _erf(a[~tail]))
         return out if out.ndim else float(out)
 
     return mass
@@ -179,41 +184,41 @@ def sample_marginal_counts(
     return CountHistogram(d.grid, counts)
 
 
-def _plan_square(sum_std: float, diff_std: float, width: float, tries: int = 3):
+def _plan_square(sum_std: float, diff_std: float, width: float):
     """Choose the detector half-size N and compute the captured fraction.
 
-    Each attempt, the first and every enlarged retry, is refused before it
-    allocates anything if its square would exceed MAX_DETECTOR_CELLS.
+    N exceeds 3 standard deviations of the wider marginal in base bins, and
+    the square holds every cell with |i + j| + |i - j| <= 2N, so it captures
+    at least 1 - 2 P(|Z| > 3 sqrt 2) ~ 0.99996 of the joint mass. A square
+    above MAX_DETECTOR_CELLS is refused before anything is allocated.
     """
     n = math.ceil(3.0 * max(sum_std, diff_std) / width) + 1
-    for attempt in range(tries):
-        side = 2 * n + 1
-        if side * side > MAX_DETECTOR_CELLS:
-            raise InvalidParameterError(
-                f"a {side} x {side} detector square exceeds the limit of "
-                f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
-            )
-        wide = BinGrid(width, -3 * n, 3 * n)
-        r_sum = coarse_grain(
-            bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std)), wide, min_captured=0.0
+    side = 2 * n + 1
+    if side * side > MAX_DETECTOR_CELLS:
+        raise InvalidParameterError(
+            f"a {side} x {side} detector square exceeds the limit of "
+            f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
         )
-        r_diff = coarse_grain(
-            bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std)), wide, min_captured=0.0
-        )
-        ms, md = r_sum.masses * r_sum.captured_fraction, r_diff.masses * r_diff.captured_fraction
-        idx = np.arange(-n, n + 1)
-        cells = ms[(idx[:, None] + idx[None, :]) + 3 * n] * md[(idx[:, None] - idx[None, :]) + 3 * n]
-        # every (i, j) pair hits sum and difference indices of equal parity
-        even_s, odd_s = ms[::2].sum(), ms[1::2].sum()
-        even_d, odd_d = md[::2].sum(), md[1::2].sum()
-        captured = float(cells.sum() / (even_s * even_d + odd_s * odd_d))
-        if captured >= 0.999:
-            return n, cells, captured
-        n = math.ceil(1.4 * n)
-    raise TruncationError(
-        f"detector square captured only {captured:.6g} of the joint mass",
-        captured_fraction=captured,
+    wide = BinGrid(width, -3 * n, 3 * n)
+    r_sum = coarse_grain(
+        bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std)), wide, min_captured=0.0
     )
+    r_diff = coarse_grain(
+        bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std)), wide, min_captured=0.0
+    )
+    ms, md = r_sum.masses * r_sum.captured_fraction, r_diff.masses * r_diff.captured_fraction
+    idx = np.arange(-n, n + 1)
+    cells = ms[(idx[:, None] + idx[None, :]) + 3 * n] * md[(idx[:, None] - idx[None, :]) + 3 * n]
+    # every (i, j) pair hits sum and difference indices of equal parity
+    even_s, odd_s = ms[::2].sum(), ms[1::2].sum()
+    even_d, odd_d = md[::2].sum(), md[1::2].sum()
+    captured = float(cells.sum() / (even_s * even_d + odd_s * odd_d))
+    if captured < 0.999:
+        raise TruncationError(
+            f"detector square captured only {captured:.6g} of the joint mass",
+            captured_fraction=captured,
+        )
+    return n, cells, captured
 
 
 def sample_joint_counts(

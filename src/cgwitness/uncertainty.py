@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 from ._kernels import batch_entropy, batch_weighted_moments
 from .binning import CountHistogram, rebin
@@ -68,13 +69,18 @@ _AXIS_INDEX = {"position": 0, "momentum": 1}
 _SIGN_INDEX = {"+": 0, "-": 1}
 _COUNTS_STREAM, _JITTER_STREAM = 0, 1
 
+#: Largest replicate count: the default sweep needs ~8 KB per replicate
+#: (121 MB peak at 10^4), so this stays near 1 GB.
+MAX_REPLICATES = 100_000
+
 
 @dataclass(frozen=True)
 class ErrorModel:
     """What to fluctuate, and how hard, in each Monte Carlo replicate.
 
     replicates below 100 give unreliable standard errors and are refused
-    unless fast_mode explicitly flags the run as a reduced-quality one.
+    unless fast_mode explicitly flags the run as a reduced-quality one;
+    above MAX_REPLICATES they are refused before anything is allocated.
     """
 
     poisson: bool = True
@@ -87,6 +93,10 @@ class ErrorModel:
     def __post_init__(self):
         if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
             raise InvalidParameterError(f"replicates must be an integer >= 2, got {self.replicates}")
+        if self.replicates > MAX_REPLICATES:
+            raise InvalidParameterError(
+                f"replicates must be at most {MAX_REPLICATES}, got {self.replicates}"
+            )
         if self.replicates < 100 and not self.fast_mode:
             raise InvalidParameterError(
                 "fewer than 100 replicates requires fast_mode=True "
@@ -197,10 +207,8 @@ def _reduce(
     return _MarginalStats(width, kept, variance, entropy)
 
 
-def _stream(root: np.random.SeedSequence, key: tuple) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + key)
-    )
+def _stream(root: SeedSequence, key: tuple) -> Generator:
+    return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
 
 
 def _replicate_stats(
@@ -208,7 +216,7 @@ def _replicate_stats(
     key: tuple,
     sigma: float,
     em: ErrorModel,
-    root: np.random.SeedSequence,
+    root: SeedSequence,
     need_variance: bool,
     need_entropy: bool,
 ) -> _MarginalStats:
@@ -262,7 +270,7 @@ def sweep_grid(
     em = error_model
     root = None
     if em is not None:
-        root = em.seed if isinstance(em.seed, np.random.SeedSequence) else np.random.SeedSequence(em.seed)
+        root = em.seed if isinstance(em.seed, SeedSequence) else SeedSequence(em.seed)
     need_variance = any(w != "coarse_entropic" for w in witness_ids)
     need_entropy = "coarse_entropic" in witness_ids
 
@@ -298,9 +306,11 @@ def sweep_grid(
         r_point, r_reps = marginal_stats(position, sign_r, n_list)
         s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
         if need_entropy and log_bound is None:
-            log_bound = np.array(
-                [[math.log(entropic_bound_constant(r.width * s.width)) for s in s_point] for r in r_point]
-            )[:, :, None]
+            # one bound evaluation per distinct width product
+            products = np.array([[r.width * s.width for s in s_point] for r in r_point])
+            distinct, inverse = np.unique(products.ravel(), return_inverse=True)
+            logs = np.array([math.log(entropic_bound_constant(g)) for g in distinct])
+            log_bound = logs[inverse].reshape(products.shape)[:, :, None]
         if em is not None:
             keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
                 [st.kept for st in s_reps]

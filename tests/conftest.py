@@ -1,6 +1,5 @@
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import pro_rad1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import pro_cv
+from scipy.special import pro_cv, spherical_jn
 
 from cgwitness import (
     characteristic_solution,
@@ -10,7 +10,12 @@ from cgwitness import (
     entropic_bound_constant,
     radial_first_kind,
 )
-from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, MAX_PARAMETER, SERIES_TAIL_SWITCH
+from cgwitness.bound import (
+    CONTINUOUS_BOUND_CONSTANT,
+    SERIES_TAIL_SWITCH,
+    _even_spherical_jn,
+    _solve_truncated,
+)
 from cgwitness.errors import InvalidParameterError
 from conftest import branch_switch_gamma, radial_first_kind_specfun
 
@@ -39,8 +44,16 @@ class TestCharacteristicSolution:
         d = np.abs(np.asarray(sol.coefficients))
         assert d[-1] < 1e-13 * d.max()
 
+    def test_truncation_has_a_twofold_margin(self):
+        # half the truncation order used is already converged, on the whole
+        # domain where the series route uses the solution
+        for c in np.linspace(0.01, SERIES_TAIL_SWITCH, 29):
+            order = characteristic_solution(c).coefficients.size
+            _, d = _solve_truncated(c, order // 2)
+            assert np.max(np.abs(d[-3:])) <= 1e-14 * np.max(np.abs(d))
+
     def test_rejects_bad_parameters(self):
-        for bad in (-1.0, math.nan, math.inf, MAX_PARAMETER * 1.01):
+        for bad in (-1.0, math.nan, math.inf, SERIES_TAIL_SWITCH * 1.01):
             with pytest.raises(InvalidParameterError):
                 characteristic_solution(bad)
 
@@ -69,6 +82,21 @@ class TestRadialFunction:
         # at c = 50 the series would return -0.009375 instead of ~0.177
         with pytest.raises(InvalidParameterError):
             radial_first_kind(characteristic_solution(c))
+
+
+class TestBesselRecurrence:
+    @pytest.mark.parametrize(
+        "x", [1e-300, 1e-5, 9.99e-4, 1e-3, 0.5, math.pi, 2.0 * math.pi, 9.0, SERIES_TAIL_SWITCH]
+    )
+    def test_matches_scipy(self, x):
+        # both sides of the ascending-series switch and the zeros of j_0
+        got = _even_spherical_jn(96, x)
+        want = spherical_jn(2 * np.arange(96), x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_subnormal_argument(self):
+        got = _even_spherical_jn(32, 5e-324)
+        assert got[0] == 1.0 and np.all(got[1:] == 0.0)
 
 
 class TestConcentrationEigenvalue:

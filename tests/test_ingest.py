@@ -1,11 +1,9 @@
-import math
 import textwrap
 
 import numpy as np
 import pytest
 
 from cgwitness import (
-    GaussianTwoPhotonState,
     JointCounts,
     OpticalGeometry,
     detector_to_source_scale,

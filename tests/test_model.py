@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import erf
 from cgwitness import (
     GaussianTwoPhotonState,
     MarginalSpec,
+    OpticalGeometry,
     bin_mass_oracle,
     coarse_grained_marginal,
     detector_to_source_scale,
@@ -159,6 +161,29 @@ class TestSampling:
         monkeypatch.setattr(model, "MAX_DETECTOR_CELLS", 101 * 101 - 1)
         with pytest.raises(InvalidParameterError, match="101 x 101 detector square"):
             sample_joint_counts(st, geometry, "position", 1e4, seed=0)
+
+    # the default slits, the large_scan benchmark's and 100x coarser ones
+    @pytest.mark.parametrize("slits", [(0.05, 0.02), (0.005, 0.002), (5.0, 2.0)])
+    def test_detector_square_captures_the_joint_mass(self, slits):
+        # the single attempt needs 0.999; the square is sized for ~0.99996
+        geometry = OpticalGeometry(s_x_mm=slits[0], s_p_mm=slits[1])
+        sigmas = (0.3, 1.0, 2.5, 10.0, 100.0, 1000.0)
+        planned = 0
+        for sp, sm in itertools.product(sigmas, sigmas):
+            marg = exact_marginals(GaussianTwoPhotonState(sp, sm))
+            for pair, stds in (
+                ("position", (marg.x_plus.std, marg.x_minus.std)),
+                ("momentum", (marg.p_plus.std, marg.p_minus.std)),
+            ):
+                width = detector_to_source_scale(geometry, pair)
+                try:
+                    _, _, captured = model._plan_square(*stds, width)
+                except InvalidParameterError as exc:
+                    assert "detector square" in str(exc)  # above MAX_DETECTOR_CELLS
+                    continue
+                assert captured >= 0.9999
+                planned += 1
+        assert planned > 0, planned
 
     def test_invalid_arguments(self, entangled_state, geometry):
         with pytest.raises(InvalidParameterError):

@@ -18,7 +18,8 @@ from cgwitness.errors import (
     InvalidParameterError,
     PropagationError,
 )
-from cgwitness.uncertainty import sweep_grid
+from cgwitness import uncertainty
+from cgwitness.uncertainty import MAX_REPLICATES, sweep_grid
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,11 @@ class TestErrorModel:
         assert ErrorModel(replicates=50, fast_mode=True).replicates == 50
         with pytest.raises(InvalidParameterError):
             ErrorModel(replicates=1, fast_mode=True)
+
+    def test_replicate_ceiling(self):
+        assert ErrorModel(replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
+        with pytest.raises(InvalidParameterError, match="at most"):
+            ErrorModel(replicates=MAX_REPLICATES + 1)
 
     def test_jitter_sigma_anchors(self, geometry):
         em = ErrorModel()
@@ -238,6 +244,20 @@ class TestSweepGrid:
             want = _independent_stderr(pos, mom, witness_id, pairing, n, m, pos.geometry, b_ref, rng)
             assert want > 0
             assert got == pytest.approx(want, rel=tol), (n, m, pairing)
+
+    def test_one_bound_call_per_distinct_width_product(self, scans, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return entropic_bound_constant(g)
+
+        monkeypatch.setattr(uncertainty, "entropic_bound_constant", counted)
+        pos, mom = scans
+        factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
+        sweep_grid(pos, mom, factors, factors, witness_ids=("coarse_entropic",))
+        # 121 cells, 88 distinct float products of the two bin widths
+        assert len(calls) == len(set(calls)) == 88
 
     def test_values_match_pipeline_evaluate(self, scans):
         # the single-cell witnesses are the B = 1 case of the batched

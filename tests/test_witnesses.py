@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from cgwitness import (
@@ -9,7 +8,6 @@ from cgwitness import (
     PAIRINGS,
     WITNESS_IDS,
     GaussianTwoPhotonState,
-    MarginalSpec,
     WitnessReport,
     coarse_entropic_witness,
     coarse_grained_marginal,
