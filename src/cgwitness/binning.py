@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class CountHistogram:
         return DiscreteDistribution(self.grid, self.counts / total)
 
 
-BinMassOracle = Callable[[float, float], float]
+BinMassOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def coarse_grain(
@@ -156,8 +156,10 @@ def coarse_grain(
 
     Args:
         bin_mass_oracle: callable (lo, hi) -> exact probability mass of the
-            underlying normalized density on [lo, hi]. May accept numpy
-            arrays for lo/hi; scalars are used otherwise.
+            underlying normalized density on each [lo, hi]. Called once,
+            with one array of lower and one of upper edges, and must
+            return one mass per bin; another shape raises
+            InvalidParameterError.
         grid: target grid.
         min_captured: total captured mass below this raises TruncationError.
 
@@ -168,13 +170,10 @@ def coarse_grain(
     j = grid.indices
     lo = (j - 0.5) * grid.width
     hi = (j + 0.5) * grid.width
-    try:
-        masses = np.asarray(bin_mass_oracle(lo, hi), dtype=np.float64)
-        if masses.shape != j.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        masses = np.array(
-            [float(bin_mass_oracle(a, b)) for a, b in zip(lo, hi)], dtype=np.float64
+    masses = np.asarray(bin_mass_oracle(lo, hi), dtype=np.float64)
+    if masses.shape != j.shape:
+        raise InvalidParameterError(
+            f"bin_mass_oracle returned shape {masses.shape} for {grid.n_bins} bins"
         )
     # tiny negatives from cancellation in tail CDF differences
     masses = np.clip(masses, 0.0, None)
@@ -188,10 +187,7 @@ def coarse_grain(
     return DiscreteDistribution(grid, masses / captured, captured_fraction=captured)
 
 
-Binned = Union[CountHistogram, DiscreteDistribution]
-
-
-def rebin(h: Binned, factor: int) -> Binned:
+def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     """Merge runs of `factor` adjacent bins, keeping a bin centered at 0.
 
     Only odd factors keep the central bin centered on the origin, so even
@@ -199,11 +195,11 @@ def rebin(h: Binned, factor: int) -> Binned:
     trimmed) to complete the outermost groups; totals are conserved exactly.
 
     Args:
-        h: CountHistogram or DiscreteDistribution.
+        h: CountHistogram.
         factor: odd positive merge factor.
 
     Returns:
-        The same kind of object on a grid of width factor * width.
+        A CountHistogram on a grid of width factor * width.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1 or factor % 2 == 0:
         raise InvalidParameterError(
@@ -212,15 +208,10 @@ def rebin(h: Binned, factor: int) -> Binned:
     if factor == 1:
         return h
     half = (factor - 1) // 2
-    values = h.counts if isinstance(h, CountHistogram) else h.masses
     grid = h.grid
     j = grid.indices
     groups = (j + half) // factor  # group J collects j in [J*factor - half, J*factor + half]
     g_min, g_max = int(groups[0]), int(groups[-1])
-    out = np.zeros(g_max - g_min + 1, dtype=values.dtype)
-    np.add.at(out, groups - g_min, values)
-    new_grid = BinGrid(grid.width * factor, g_min, g_max)
-    if isinstance(h, CountHistogram):
-        return CountHistogram(new_grid, out)
-    return DiscreteDistribution(new_grid, out, captured_fraction=h.captured_fraction)
-
+    out = np.zeros(g_max - g_min + 1, dtype=h.counts.dtype)
+    np.add.at(out, groups - g_min, h.counts)
+    return CountHistogram(BinGrid(grid.width * factor, g_min, g_max), out)

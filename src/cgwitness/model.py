@@ -35,6 +35,9 @@ MAX_EXPECTED_COUNTS = MAX_COUNT - 10.0 * math.sqrt(MAX_COUNT)
 #: 965 x 965 scan, ~80 MB per float64 array of the plan.
 MAX_DETECTOR_CELLS = 10_000_000
 
+#: Half-span of the grids coarse_grained_marginal builds, in standard deviations.
+SPAN_SIGMAS = 9.0
+
 
 def _check_total(total_expected_counts: float) -> None:
     if not 0 < total_expected_counts <= MAX_EXPECTED_COUNTS:
@@ -94,17 +97,6 @@ class GlobalMarginals:
     p_plus: MarginalSpec
     p_minus: MarginalSpec
 
-    def by_name(self, variable: str) -> MarginalSpec:
-        try:
-            return {
-                "x+": self.x_plus,
-                "x-": self.x_minus,
-                "p+": self.p_plus,
-                "p-": self.p_minus,
-            }[variable]
-        except KeyError:
-            raise InvalidParameterError(f"unknown variable {variable!r}") from None
-
 
 def exact_marginals(state: GaussianTwoPhotonState) -> GlobalMarginals:
     """Analytic global-variable marginals of the Gaussian pair state.
@@ -149,21 +141,15 @@ def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
     return mass
 
 
-def coarse_grained_marginal(
-    m: MarginalSpec,
-    width: float,
-    *,
-    span_sigmas: float = 9.0,
-    min_captured: float = 0.999,
-) -> DiscreteDistribution:
+def coarse_grained_marginal(m: MarginalSpec, width: float) -> DiscreteDistribution:
     """Exact bin masses of one marginal on an origin-centered grid.
 
-    The grid spans mean +/- span_sigmas standard deviations (at least one
-    bin), wide enough that the default span loses < 1e-17 of the mass.
+    The grid spans mean +/- SPAN_SIGMAS standard deviations (at least one
+    bin), so it loses < 1e-17 of the mass.
     """
-    half = abs(m.mean) + span_sigmas * m.std
+    half = abs(m.mean) + SPAN_SIGMAS * m.std
     grid = BinGrid.spanning(width, -half, half)
-    return coarse_grain(bin_mass_oracle(m), grid, min_captured=min_captured)
+    return coarse_grain(bin_mass_oracle(m), grid)
 
 
 def sample_marginal_counts(
@@ -171,15 +157,13 @@ def sample_marginal_counts(
     width: float,
     total_expected_counts: float,
     seed,
-    *,
-    span_sigmas: float = 9.0,
 ) -> CountHistogram:
     """Poisson-draw a binned marginal directly (no joint table).
 
     Counts in bin k are independent Poisson with mean total * mass_k.
     """
     _check_total(total_expected_counts)
-    d = coarse_grained_marginal(m, width, span_sigmas=span_sigmas)
+    d = coarse_grained_marginal(m, width)
     counts = _rng_from(seed).poisson(total_expected_counts * d.masses)
     return CountHistogram(d.grid, counts)
 

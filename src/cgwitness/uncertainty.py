@@ -69,6 +69,9 @@ _AXIS_INDEX = {"position": 0, "momentum": 1}
 _SIGN_INDEX = {"+": 0, "-": 1}
 _COUNTS_STREAM, _JITTER_STREAM = 0, 1
 
+#: Fewest replicates: shorter runs give noisy standard errors.
+MIN_REPLICATES = 100
+
 #: Largest replicate count: the default sweep needs ~8 KB per replicate
 #: (121 MB peak at 10^4), so this stays near 1 GB.
 MAX_REPLICATES = 100_000
@@ -78,29 +81,25 @@ MAX_REPLICATES = 100_000
 class ErrorModel:
     """What to fluctuate, and how hard, in each Monte Carlo replicate.
 
-    replicates below 100 give unreliable standard errors and are refused
-    unless fast_mode explicitly flags the run as a reduced-quality one;
-    above MAX_REPLICATES they are refused before anything is allocated.
+    Every replicate Poisson-resamples the marginal counts. With
+    center_jitter it also moves each bin center by an independent Gaussian
+    error of scale center_sigma_position/center_sigma_momentum; without it
+    the model is Poisson-only. replicates must lie between MIN_REPLICATES
+    (fewer give unreliable standard errors) and MAX_REPLICATES; other
+    values are refused before anything is allocated.
     """
 
-    poisson: bool = True
     center_jitter: bool = True
-    rigid_offsets: bool = False
     replicates: int = 1000
     seed: int | None = 0
-    fast_mode: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
-            raise InvalidParameterError(f"replicates must be an integer >= 2, got {self.replicates}")
-        if self.replicates > MAX_REPLICATES:
+        if not isinstance(self.replicates, (int, np.integer)):
+            raise InvalidParameterError(f"replicates must be an integer, got {self.replicates!r}")
+        if not MIN_REPLICATES <= self.replicates <= MAX_REPLICATES:
             raise InvalidParameterError(
-                f"replicates must be at most {MAX_REPLICATES}, got {self.replicates}"
-            )
-        if self.replicates < 100 and not self.fast_mode:
-            raise InvalidParameterError(
-                "fewer than 100 replicates requires fast_mode=True "
-                "(errors from short runs are noisy)"
+                f"replicates must be at most {MAX_REPLICATES} and at least "
+                f"{MIN_REPLICATES}, got {self.replicates}"
             )
 
     def center_sigma_position(self, n: int, geometry: OpticalGeometry) -> float:
@@ -114,6 +113,19 @@ class ErrorModel:
             * math.sqrt(2.0)
             * (2.0 * m * math.pi / (geometry.f3_mm * geometry.lambda_mm))
         )
+
+
+def _check_witness_id(witness_id: str) -> None:
+    if witness_id not in DATA_WITNESS_IDS:
+        raise ConfigurationError(
+            f"witness {witness_id!r} cannot be evaluated from count data; "
+            f"choose from {','.join(DATA_WITNESS_IDS)}"
+        )
+
+
+def _check_pairing(pairing: str) -> None:
+    if pairing not in PAIRINGS:
+        raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
 
 
 def _check_scan_order(position: JointCounts, momentum: JointCounts) -> None:
@@ -138,13 +150,8 @@ class WitnessPipeline:
     m: int = 1
 
     def __post_init__(self):
-        if self.witness_id not in DATA_WITNESS_IDS:
-            raise ConfigurationError(
-                f"witness {self.witness_id!r} cannot be evaluated from count data; "
-                f"choose one of {DATA_WITNESS_IDS}"
-            )
-        if self.pairing not in PAIRINGS:
-            raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {self.pairing!r}")
+        _check_witness_id(self.witness_id)
+        _check_pairing(self.pairing)
         for name, v in (("n", self.n), ("m", self.m)):
             if not (isinstance(v, (int, np.integer)) and v >= 1 and v % 2 == 1):
                 raise ConfigurationError(f"{name} must be an odd positive integer, got {v!r}")
@@ -160,13 +167,11 @@ class WitnessPipeline:
     def evaluate(self, position: JointCounts, momentum: JointCounts) -> WitnessReport:
         """Point estimate of the witness on the observed counts."""
         r, s = self.marginals(position, momentum)
-        var_r, var_s = PAIRINGS[self.pairing]
-        kwargs = dict(pairing=self.pairing, variable_r=var_r, variable_s=var_s)
         if self.witness_id == "coarse_variance":
-            return coarse_variance_witness(r.normalize(), s.normalize(), **kwargs)
+            return coarse_variance_witness(r.normalize(), s.normalize(), pairing=self.pairing)
         if self.witness_id == "coarse_entropic":
-            return coarse_entropic_witness(r.normalize(), s.normalize(), **kwargs)
-        return naive_discrete_witness(r.normalize(), s.normalize(), **kwargs)
+            return coarse_entropic_witness(r.normalize(), s.normalize(), pairing=self.pairing)
+        return naive_discrete_witness(r.normalize(), s.normalize(), pairing=self.pairing)
 
 
 @dataclass(frozen=True)
@@ -225,14 +230,12 @@ def _replicate_stats(
     occupied = h.counts > 0
     counts = h.counts[occupied]
     centers = h.grid.centers[occupied]
-    if em.poisson:
-        draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=(b, counts.size))
-        weights = draws.astype(np.float64)
-    else:
-        weights = np.broadcast_to(counts.astype(np.float64), (b, counts.size))
+    draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=(b, counts.size))
+    weights = draws.astype(np.float64)
     if need_variance and em.center_jitter:
-        shape = (b, 1) if em.rigid_offsets else (b, counts.size)
-        centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(0.0, sigma, size=shape)
+        centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(
+            0.0, sigma, size=draws.shape
+        )
     return _reduce(h.grid.width, weights, centers, need_variance, need_entropy)
 
 
@@ -263,10 +266,15 @@ def sweep_grid(
     ddof=1 standard deviation of the witness over the replicates in which
     both marginals drew a positive total. A cell that discards more than
     10% of its replicates, or keeps fewer than 2, raises PropagationError.
-    Deterministic for a fixed ErrorModel.seed.
+    A pairing outside PAIRINGS or a witness_id outside DATA_WITNESS_IDS
+    raises ConfigurationError. Deterministic for a fixed ErrorModel.seed.
     """
     _check_scan_order(position, momentum)
     ensure_matching_geometry(position, momentum)
+    for pairing in pairings:
+        _check_pairing(pairing)
+    for witness_id in witness_ids:
+        _check_witness_id(witness_id)
     em = error_model
     root = None
     if em is not None:
@@ -356,9 +364,10 @@ def propagate(
 
     The reported value is computed once on the unperturbed data; the
     uncertainty is the ddof=1 standard deviation of the witness across
-    replicates, each with (optionally) Poisson-resampled marginal counts
-    and Gaussian-jittered bin centers. Replicates whose resampled total is
-    zero are discarded; more than 10% discards raises PropagationError.
+    replicates, each with Poisson-resampled marginal counts and, under
+    center_jitter, Gaussian-jittered bin centers. Replicates whose resampled
+    total is zero are discarded; more than 10% discards raises
+    PropagationError.
     Deterministic for a fixed ErrorModel.seed. The one-cell case of
     sweep_grid, so it draws the same random numbers as that cell of a sweep.
     """

@@ -10,6 +10,10 @@ constant). The naive discrete criterion applies the continuous variance
 bound to uncorrected discrete variances — it is deliberately included as
 the cautionary counterexample and is flagged unsafe: with bins a few
 standard deviations wide it reports entanglement for product states.
+
+Every witness takes a keyword `pairing`, a key of PAIRINGS ("pm" by
+default), as the only name of the diagonal its two marginals come from; a
+token outside PAIRINGS raises InvalidPairingError.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class WitnessReport:
 
     value is LHS - bound: negative means entanglement detected. For the
     naive discrete criterion `unsafe` is always True — a negative value
-    there may be a false positive.
+    there may be a false positive. uncertainty is the Monte Carlo standard
+    error that uncertainty.propagate fills in with dataclasses.replace.
     """
 
     witness_id: str
@@ -76,37 +81,6 @@ class WitnessReport:
     def detected(self) -> bool:
         """Entanglement detected at face value (no uncertainty threshold)."""
         return self.value < 0
-
-
-def _resolve_pairing(pairing: str | None, variable_r: str | None, variable_s: str | None) -> str:
-    """Check variable labels against the pairing and return the pairing token.
-
-    Valid combinations pair a position-type first variable with the
-    opposite-sign momentum-type second variable: ("x+", "p-") or
-    ("x-", "p+").
-    """
-    inferred = None
-    if variable_r is not None or variable_s is not None:
-        for token, (vr, vs) in PAIRINGS.items():
-            if (variable_r is None or variable_r == vr) and (
-                variable_s is None or variable_s == vs
-            ):
-                inferred = token
-                break
-        if inferred is None:
-            raise InvalidPairingError(
-                f"variables ({variable_r!r}, {variable_s!r}) do not form a "
-                "sum/difference pairing: expected ('x+', 'p-') or ('x-', 'p+')"
-            )
-    if pairing is None:
-        return inferred if inferred is not None else "pm"
-    if pairing not in PAIRINGS:
-        raise InvalidPairingError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
-    if inferred is not None and inferred != pairing:
-        raise InvalidPairingError(
-            f"variables ({variable_r!r}, {variable_s!r}) contradict pairing {pairing!r}"
-        )
-    return pairing
 
 
 def witness_input(witness_id: str, width: float, variance, entropy):
@@ -148,7 +122,6 @@ def mgvt_continuous(
     var_s: float,
     *,
     pairing: str = "pm",
-    uncertainty: float | None = None,
 ) -> WitnessReport:
     """Product-of-variances criterion on continuous global variables.
 
@@ -159,10 +132,9 @@ def mgvt_continuous(
             raise InvalidParameterError(f"{name} must be finite and positive, got {v}")
     return WitnessReport(
         witness_id="mgvt_continuous",
-        pairing=_resolve_pairing(pairing, None, None),
+        pairing=pairing,
         value=witness_value("mgvt_continuous", var_r, var_s),
         inputs_summary={"var_r": var_r, "var_s": var_s},
-        uncertainty=uncertainty,
     )
 
 
@@ -171,7 +143,6 @@ def entropic_continuous(
     h_s: float,
     *,
     pairing: str = "pm",
-    uncertainty: float | None = None,
 ) -> WitnessReport:
     """Sum-of-entropies criterion on continuous global variables.
 
@@ -184,10 +155,9 @@ def entropic_continuous(
             raise InvalidParameterError(f"{name} must be finite, got {v}")
     return WitnessReport(
         witness_id="entropic_continuous",
-        pairing=_resolve_pairing(pairing, None, None),
+        pairing=pairing,
         value=h_r + h_s - CONTINUOUS_ENTROPIC_BOUND,
         inputs_summary={"h_r": h_r, "h_s": h_s},
-        uncertainty=uncertainty,
     )
 
 
@@ -195,10 +165,7 @@ def coarse_variance_witness(
     r: DiscreteDistribution,
     s: DiscreteDistribution,
     *,
-    pairing: str | None = None,
-    variable_r: str | None = None,
-    variable_s: str | None = None,
-    uncertainty: float | None = None,
+    pairing: str = "pm",
 ) -> WitnessReport:
     """Variance-product criterion corrected for finite bin widths.
 
@@ -207,15 +174,13 @@ def coarse_variance_witness(
     at any bin size: separable states give value >= 0 for every width pair.
     """
     _check_distributions(r, s)
-    token = _resolve_pairing(pairing, variable_r, variable_s)
     var_r, var_s = histogram_variance(r), histogram_variance(s)
     return WitnessReport(
         witness_id="coarse_variance",
-        pairing=token,
+        pairing=pairing,
         value=witness_value("coarse_variance", var_r, var_s),
         inputs_summary={"hist_var_r": var_r, "hist_var_s": var_s},
         bin_widths=(r.grid.width, s.grid.width),
-        uncertainty=uncertainty,
     )
 
 
@@ -223,10 +188,7 @@ def coarse_entropic_witness(
     r: DiscreteDistribution,
     s: DiscreteDistribution,
     *,
-    pairing: str | None = None,
-    variable_r: str | None = None,
-    variable_s: str | None = None,
-    uncertainty: float | None = None,
+    pairing: str = "pm",
 ) -> WitnessReport:
     """Entropy-sum criterion with the width-dependent bound constant.
 
@@ -238,16 +200,14 @@ def coarse_entropic_witness(
     criterion.
     """
     _check_distributions(r, s)
-    token = _resolve_pairing(pairing, variable_r, variable_s)
     h_r, h_s = histogram_entropy(r), histogram_entropy(s)
     bound = entropic_bound_constant(r.grid.width * s.grid.width)
     return WitnessReport(
         witness_id="coarse_entropic",
-        pairing=token,
+        pairing=pairing,
         value=witness_value("coarse_entropic", h_r, h_s, math.log(bound)),
         inputs_summary={"hist_h_r": h_r, "hist_h_s": h_s, "bound_constant": bound},
         bin_widths=(r.grid.width, s.grid.width),
-        uncertainty=uncertainty,
     )
 
 
@@ -255,10 +215,7 @@ def naive_discrete_witness(
     r: DiscreteDistribution,
     s: DiscreteDistribution,
     *,
-    pairing: str | None = None,
-    variable_r: str | None = None,
-    variable_s: str | None = None,
-    uncertainty: float | None = None,
+    pairing: str = "pm",
 ) -> WitnessReport:
     """UNSAFE: continuous variance bound applied to uncorrected discrete variances.
 
@@ -270,14 +227,12 @@ def naive_discrete_witness(
     that failure mode; never use it for detection.
     """
     _check_distributions(r, s)
-    token = _resolve_pairing(pairing, variable_r, variable_s)
     var_r, var_s = discrete_variance(r), discrete_variance(s)
     return WitnessReport(
         witness_id="naive_discrete",
-        pairing=token,
+        pairing=pairing,
         value=witness_value("naive_discrete", var_r, var_s),
         inputs_summary={"discrete_var_r": var_r, "discrete_var_s": var_s},
         bin_widths=(r.grid.width, s.grid.width),
-        uncertainty=uncertainty,
         unsafe=True,
     )

@@ -211,7 +211,7 @@ def test_criterion_8_statistical_scaling():
     geo = cg.OpticalGeometry()
     st = cg.GaussianTwoPhotonState(10.0, 2.5)
     pipe = cg.WitnessPipeline(witness_id="coarse_variance", pairing="pm", n=5, m=5)
-    em = cg.ErrorModel(poisson=True, center_jitter=False, replicates=1000, seed=7)
+    em = cg.ErrorModel(center_jitter=False, replicates=1000, seed=7)
     stderr = {}
     for scale, seeds in ((1e4, (21, 22)), (1e6, (23, 24))):
         pos = cg.sample_joint_counts(st, geo, "position", scale, seed=seeds[0])

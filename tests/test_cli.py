@@ -10,7 +10,7 @@ import pytest
 
 import cgwitness
 from cgwitness.cli import MAX_TABLE_POINTS, main
-from cgwitness.uncertainty import MAX_REPLICATES
+from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES
 
 
 def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
@@ -443,6 +443,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"replicates must be at most {MAX_REPLICATES}" in proc.stderr
+
+    def test_too_few_replicates_names_the_accepted_range(self, tmp_path):
+        pos, mom = _simulate(tmp_path)
+        proc = _run_cli("sweep", str(pos), str(mom), "--replicates", "50")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"at most {MAX_REPLICATES} and at least {MIN_REPLICATES}" in proc.stderr
+        assert "fast_mode" not in proc.stderr
 
     def test_too_many_table_points_exits_2_without_traceback(self):
         # 10^11 points would first allocate ~745 GiB of grid

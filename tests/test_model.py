@@ -48,11 +48,6 @@ class TestState:
         assert gm.x_plus.std * gm.p_minus.std == pytest.approx(0.7 / 3.0)
         assert gm.x_minus.std * gm.p_plus.std == pytest.approx(3.0 / 0.7)
 
-    def test_by_name_lookup(self):
-        gm = exact_marginals(GaussianTwoPhotonState(1.5, 0.8))
-        assert gm.by_name("x+") is gm.x_plus
-        assert gm.by_name("p-") is gm.p_minus
-
 
 class TestBinMassOracle:
     def test_matches_erf_on_arbitrary_bins(self):

@@ -1,5 +1,22 @@
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import cgwitness
-from cgwitness import BinGrid, GaussianTwoPhotonState
+from cgwitness import (
+    BinGrid,
+    ErrorModel,
+    GaussianTwoPhotonState,
+    GlobalMarginals,
+    coarse_entropic_witness,
+    coarse_grained_marginal,
+    coarse_variance_witness,
+    entropic_continuous,
+    mgvt_continuous,
+    naive_discrete_witness,
+    sample_marginal_counts,
+)
 
 #: Names the package no longer exports; nothing in the package called them.
 REMOVED = (
@@ -12,6 +29,35 @@ REMOVED = (
     "classify_separable",
     "branch_switch_gamma",
 )
+
+#: Keywords the functions no longer take; no caller outside their own tests set them.
+REMOVED_PARAMETERS = (
+    (mgvt_continuous, ("uncertainty",)),
+    (entropic_continuous, ("uncertainty",)),
+    (coarse_variance_witness, ("variable_r", "variable_s", "uncertainty")),
+    (coarse_entropic_witness, ("variable_r", "variable_s", "uncertainty")),
+    (naive_discrete_witness, ("variable_r", "variable_s", "uncertainty")),
+    (coarse_grained_marginal, ("span_sigmas", "min_captured")),
+    (sample_marginal_counts, ("span_sigmas", "min_captured")),
+)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never references (re-exports in __all__ count)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
 
 
 class TestPublicSurface:
@@ -29,3 +75,24 @@ class TestPublicSurface:
         for attr in ("index_of", "edges", "index_range"):
             assert not hasattr(BinGrid, attr), attr
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
+        assert not hasattr(GlobalMarginals, "by_name")
+
+    def test_removed_parameters_are_gone(self):
+        fields = tuple(f.name for f in dataclasses.fields(ErrorModel))
+        assert fields == ("center_jitter", "replicates", "seed")
+        for fn, names in REMOVED_PARAMETERS:
+            params = inspect.signature(fn).parameters
+            for name in names:
+                assert name not in params, (fn.__name__, name)
+
+
+class TestImports:
+    def test_no_unused_imports(self):
+        roots = (Path(cgwitness.__file__).parent, Path(__file__).parent)
+        found = {
+            str(path): names
+            for root in roots
+            for path in sorted(root.rglob("*.py"))
+            if (names := _unused_imports(path))
+        }
+        assert found == {}

@@ -19,7 +19,7 @@ from cgwitness.errors import (
     PropagationError,
 )
 from cgwitness import uncertainty
-from cgwitness.uncertainty import MAX_REPLICATES, sweep_grid
+from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +36,14 @@ def scans():
 class TestErrorModel:
     def test_defaults(self):
         em = ErrorModel()
-        assert em.poisson and em.center_jitter and not em.rigid_offsets
+        assert em.center_jitter
         assert em.replicates == 1000
 
     def test_replicate_floor(self):
-        with pytest.raises(InvalidParameterError):
-            ErrorModel(replicates=50)
-        assert ErrorModel(replicates=50, fast_mode=True).replicates == 50
-        with pytest.raises(InvalidParameterError):
-            ErrorModel(replicates=1, fast_mode=True)
+        assert ErrorModel(replicates=MIN_REPLICATES).replicates == MIN_REPLICATES
+        for replicates in (MIN_REPLICATES - 1, 50, 1):
+            with pytest.raises(InvalidParameterError, match="at least"):
+                ErrorModel(replicates=replicates)
 
     def test_replicate_ceiling(self):
         assert ErrorModel(replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
@@ -103,7 +102,7 @@ class TestPropagate:
     def test_point_estimate_is_unperturbed(self, scans):
         pos, mom = scans
         pipe = WitnessPipeline(witness_id="coarse_variance", n=3, m=3)
-        em = ErrorModel(replicates=150, fast_mode=True, seed=5)
+        em = ErrorModel(replicates=150, seed=5)
         rep = propagate(pos, mom, pipe, em)
         assert rep.value == pytest.approx(pipe.evaluate(pos, mom).value, rel=1e-12)
         assert rep.uncertainty is not None and rep.uncertainty > 0.0
@@ -111,7 +110,7 @@ class TestPropagate:
     def test_deterministic_given_seed(self, scans):
         pos, mom = scans
         pipe = WitnessPipeline(witness_id="coarse_entropic", n=3, m=3)
-        em = ErrorModel(replicates=150, fast_mode=True, seed=8)
+        em = ErrorModel(replicates=150, seed=8)
         a = propagate(pos, mom, pipe, em)
         b = propagate(pos, mom, pipe, em)
         assert a.uncertainty == b.uncertainty
@@ -148,18 +147,6 @@ class TestPropagate:
         )
         assert a.uncertainty == pytest.approx(b.uncertainty, rel=1e-12)
 
-    def test_rigid_offsets_leave_variances_alone(self, scans):
-        # a common shift of every bin center cancels in the variance
-        pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance", n=5, m=5)
-        rigid = propagate(
-            pos, mom, pipe, ErrorModel(rigid_offsets=True, replicates=300, seed=4)
-        )
-        poisson_only = propagate(
-            pos, mom, pipe, ErrorModel(center_jitter=False, replicates=300, seed=4)
-        )
-        assert rigid.uncertainty == pytest.approx(poisson_only.uncertainty, rel=1e-9)
-
     def test_per_bin_jitter_inflates_variance_uncertainty(self, scans):
         pos, mom = scans
         pipe = WitnessPipeline(witness_id="coarse_variance", n=5, m=5)
@@ -192,7 +179,7 @@ class TestPropagate:
         mom = sample_joint_counts(st, other, "momentum", 1e4, seed=9)
         pipe = WitnessPipeline(witness_id="coarse_variance")
         with pytest.raises(ConfigurationError):
-            propagate(pos, mom, pipe, ErrorModel(replicates=150, fast_mode=True))
+            propagate(pos, mom, pipe, ErrorModel(replicates=150))
 
 
 def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicates, rng):
@@ -226,6 +213,18 @@ def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicate
 
 class TestSweepGrid:
     CELLS = ((1, 1, "pm"), (5, 3, "mp"), (9, 7, "pm"))
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"witness_ids": ("mgvt_continuous",)},
+            {"witness_ids": ("coarse_variance", "coarse_varianc")},
+            {"pairings": ("xx",)},
+        ],
+    )
+    def test_unknown_witness_or_pairing_rejected(self, scans, option):
+        with pytest.raises(ConfigurationError):
+            sweep_grid(*scans, [1], [1], **option)
 
     @pytest.mark.parametrize("witness_id", ["coarse_variance", "coarse_entropic", "naive_discrete"])
     def test_stderr_matches_independent_per_cell_resampling(self, scans, witness_id):

@@ -88,31 +88,6 @@ class TestContinuousWitnesses:
         with pytest.raises(InvalidParameterError):
             mgvt_continuous(0.0, 1.0)
 
-    def test_uncertainty_passthrough(self):
-        rep = mgvt_continuous(1.0, 1.0, uncertainty=0.05)
-        assert rep.uncertainty == 0.05
-
-
-class TestPairingResolution:
-    def test_inferred_from_variables(self):
-        r, s = _pm_inputs(0.1, 0.1)
-        rep = coarse_variance_witness(r, s, variable_r="x+", variable_s="p-")
-        assert rep.pairing == "pm"
-
-    def test_mp_inference(self):
-        gm = exact_marginals(GaussianTwoPhotonState(2.0, 0.5))
-        r = coarse_grained_marginal(gm.x_minus, 0.2)
-        s = coarse_grained_marginal(gm.p_plus, 0.2)
-        rep = coarse_variance_witness(r, s, variable_r="x-", variable_s="p+")
-        assert rep.pairing == "mp"
-
-    def test_contradiction_rejected(self):
-        r, s = _pm_inputs(0.1, 0.1)
-        with pytest.raises(InvalidPairingError):
-            coarse_variance_witness(r, s, variable_r="x+", variable_s="p+")
-        with pytest.raises(InvalidPairingError):
-            coarse_variance_witness(r, s, pairing="mp", variable_r="x+")
-
 
 class TestCoarseWitnesses:
     def test_fine_bins_approach_continuous_values(self):
