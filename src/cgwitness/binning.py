@@ -201,6 +201,8 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     Returns:
         A CountHistogram on a grid of width factor * width.
     """
+    if not isinstance(h, CountHistogram):
+        raise InvalidParameterError(f"rebin needs a CountHistogram, got {type(h).__name__}")
     if not isinstance(factor, (int, np.integer)) or factor < 1 or factor % 2 == 0:
         raise InvalidParameterError(
             f"rebin factor must be an odd positive integer, got {factor!r}"

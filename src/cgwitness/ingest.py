@@ -10,6 +10,7 @@ follows from the optics: 2*s_x*(f1/f2) for position scans and
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,48 +170,114 @@ def load_joint_counts(path) -> JointCounts:
     Raises ParseError (with the offending line number) on missing or
     malformed headers, text that is not UTF-8, non-integer or negative
     counts, counts above the int64 range, and ragged rows.
+
+    The count block after the leading headers is read by one np.loadtxt
+    call. A block that it refuses, or that fails a check, is read again
+    line by line with the rest of the file; only that line reader raises
+    line-numbered errors, so they are the same on either path.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = _data_start(data)
+    counts = None if start is None else _loadtxt_counts(data[start:])
+    if counts is None:
+        header, rows = _parse_lines(data)
+        counts = np.array(rows, dtype=np.int64)
+    else:
+        header, _ = _parse_lines(data[:start])
+    del data  # free the file before JointCounts copies the counts
+    return _joint_counts(header, counts)
+
+
+def _data_start(data: bytes) -> int | None:
+    """Byte offset of the first data line, or None if there is none.
+
+    Lines are told apart by the rules of _parse_lines; a line that is not
+    UTF-8 before any data also gives None, so that parser reports it.
+    """
+    offset = 0
+    for raw in data.splitlines(keepends=True):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return None
+        if line and not line.startswith("#"):
+            return offset
+        offset += len(raw)
+    return None
+
+
+def _loadtxt_counts(block: bytes) -> np.ndarray | None:
+    """The count matrix of a block of data lines, or None to fall back.
+
+    Takes only what np.loadtxt reads exactly as int() does: ASCII text
+    (loadtxt reads some other letters as digits) with no "#", since a
+    header after data must raise, and none of the bytes 0x1c-0x1f, which
+    loadtxt skips as whitespace where int() refuses them. BytesIO splits
+    lines at LF alone and loadtxt rejects a CR inside a line, so CR-only
+    line endings fall back, as do "1_000" and values beyond int64. Negative
+    counts are left to _parse_lines, for its line number.
+    """
+    if any(byte in block for byte in b"#\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        counts = np.loadtxt(
+            io.BytesIO(block), encoding="ascii", delimiter=",", dtype=np.int64, ndmin=2, comments=None
+        )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if counts.size == 0 or counts.min() < 0:
+        return None
+    return counts
+
+
+def _parse_lines(data: bytes) -> tuple[dict[str, str], list[list[int]]]:
+    """Header and count rows of a scan file, one line at a time."""
     header: dict[str, str] = {}
     rows: list[list[int]] = []
     row_len = None
-    with open(path, "rb") as fh:
-        # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise ParseError("line is not UTF-8 text", line_number=lineno) from None
-            if not line:
-                continue
-            if line.startswith("#"):
-                if rows:
-                    raise ParseError("header line after data", line_number=lineno)
-                body = line.lstrip("#").strip()
-                key, sep, value = body.partition("=")
-                if not sep:
-                    raise ParseError(f"malformed header {line!r}", line_number=lineno)
-                header[key.strip()] = value.strip()
-                continue
-            try:
-                row = [int(tok) for tok in line.split(",")]
-            except ValueError:
-                raise ParseError(f"non-integer count in {line!r}", line_number=lineno) from None
-            if any(v < 0 for v in row):
-                raise ParseError("negative count", line_number=lineno)
-            if max(row) > MAX_COUNT:
-                raise ParseError(f"count above {MAX_COUNT}", line_number=lineno)
-            if row_len is None:
-                row_len = len(row)
-            elif len(row) != row_len:
-                raise ParseError(
-                    f"ragged row: expected {row_len} values, got {len(row)}",
-                    line_number=lineno,
-                )
-            rows.append(row)
+    # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ParseError("line is not UTF-8 text", line_number=lineno) from None
+        if not line:
+            continue
+        if line.startswith("#"):
+            if rows:
+                raise ParseError("header line after data", line_number=lineno)
+            body = line.lstrip("#").strip()
+            key, sep, value = body.partition("=")
+            if not sep:
+                raise ParseError(f"malformed header {line!r}", line_number=lineno)
+            header[key.strip()] = value.strip()
+            continue
+        try:
+            row = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise ParseError(f"non-integer count in {line!r}", line_number=lineno) from None
+        if any(v < 0 for v in row):
+            raise ParseError("negative count", line_number=lineno)
+        if max(row) > MAX_COUNT:
+            raise ParseError(f"count above {MAX_COUNT}", line_number=lineno)
+        if row_len is None:
+            row_len = len(row)
+        elif len(row) != row_len:
+            raise ParseError(
+                f"ragged row: expected {row_len} values, got {len(row)}",
+                line_number=lineno,
+            )
+        rows.append(row)
+    return header, rows
+
+
+def _joint_counts(header: dict[str, str], counts: np.ndarray) -> JointCounts:
+    """Validate the parsed header and wrap it with the counts."""
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise ParseError(f"missing required header key {key!r}")
-    if not rows:
+    if counts.size == 0:
         raise ParseError("file contains no count rows")
     pair = header["variable_pair"]
     if pair not in ("position", "momentum"):
@@ -233,7 +300,7 @@ def load_joint_counts(path) -> JointCounts:
         return JointCounts(
             variable_pair=pair,
             step=_float("step_mm"),
-            counts=np.array(rows, dtype=np.int64),
+            counts=counts,
             geometry=geometry,
             i0=_int("i0") if "i0" in header else None,
             j0=_int("j0") if "j0" in header else None,

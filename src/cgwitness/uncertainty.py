@@ -28,10 +28,10 @@ exact: Poisson(0) always draws 0.
 Random streams: the marginal of scan axis a (0 position, 1 momentum),
 diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
 from SeedSequence(seed, spawn_key=(a, s, f, 0)) and its center jitter from
-spawn key (a, s, f, 1), where seed is ErrorModel.seed (a SeedSequence
-seed extends its own spawn key). The counts therefore do not depend on the
-jitter settings, jitter is drawn only when a variance witness is requested,
-and a cell's uncertainty does not depend on which other cells are swept.
+spawn key (a, s, f, 1), where seed is ErrorModel.seed. The counts
+therefore do not depend on the jitter settings, jitter is drawn only when a
+variance witness is requested, and a cell's uncertainty does not depend on
+which other cells are swept.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ class ErrorModel:
     error of scale center_sigma_position/center_sigma_momentum; without it
     the model is Poisson-only. replicates must lie between MIN_REPLICATES
     (fewer give unreliable standard errors) and MAX_REPLICATES; other
-    values are refused before anything is allocated.
+    values are refused before anything is allocated. seed is a
+    non-negative integer, or None for fresh entropy.
     """
 
     center_jitter: bool = True
@@ -100,6 +101,12 @@ class ErrorModel:
             raise InvalidParameterError(
                 f"replicates must be at most {MAX_REPLICATES} and at least "
                 f"{MIN_REPLICATES}, got {self.replicates}"
+            )
+        if self.seed is not None and not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
+            raise InvalidParameterError(
+                f"seed must be a non-negative integer or None, got {self.seed!r}"
             )
 
     def center_sigma_position(self, n: int, geometry: OpticalGeometry) -> float:
@@ -278,7 +285,7 @@ def sweep_grid(
     em = error_model
     root = None
     if em is not None:
-        root = em.seed if isinstance(em.seed, SeedSequence) else SeedSequence(em.seed)
+        root = SeedSequence(em.seed)
     need_variance = any(w != "coarse_entropic" for w in witness_ids)
     need_entropy = "coarse_entropic" in witness_ids
 

@@ -125,6 +125,12 @@ class TestRebin:
         with pytest.raises(InvalidParameterError):
             rebin(h, factor)
 
+    @pytest.mark.parametrize("factor", [1, 3])
+    def test_rejects_anything_but_a_count_histogram(self, factor):
+        d = DiscreteDistribution(BinGrid(1.0, -1, 1), np.full(3, 1.0 / 3.0))
+        with pytest.raises(InvalidParameterError, match="CountHistogram"):
+            rebin(d, factor)
+
 
 class TestHistogramDensity:
     def test_densities_divide_by_width(self):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cgwitness
 from cgwitness.cli import MAX_TABLE_POINTS, main
@@ -458,6 +460,59 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"--points must be between 2 and {MAX_TABLE_POINTS}" in proc.stderr
+
+
+_GOOD_FACTORS = ["1", "3", "1,3", "3,1", "1,9223372036854775807"]
+_BAD_FACTORS = ["1,1", "2", "0", "-1", "a", "", "1,9223372036854775809"]
+
+#: sweep flag -> (valid values, invalid values); each invalid one must exit 2
+_SWEEP_FLAGS = {
+    "--n-list": (_GOOD_FACTORS, _BAD_FACTORS),
+    "--m-list": (_GOOD_FACTORS, _BAD_FACTORS),
+    "--pairing": (["pm", "mp", "both"], ["xy"]),
+    "--witnesses": (
+        ["coarse_entropic", "coarse_variance,naive_discrete"],
+        ["bogus", "", "mgvt_continuous", "coarse_entropic,coarse_entropic"],
+    ),
+    "--errors": (["on", "off"], ["maybe"]),
+    "--replicates": (["100", "120"], ["50", "0", "-5", "100001", "x"]),
+    "--detect-nsigma": (["1", "0", "2.5"], ["-1", "nan", "inf", "x"]),
+    "--seed": (["0", "3", str(2**70)], ["-1", "x"]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--output": (["out.csv"], [".", "no/such/dir/out.csv"]),
+}
+
+
+class TestFlagMixes:
+    @pytest.fixture(scope="class")
+    def scans(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("flagmix")
+        pos, mom = _simulate(tmp, total=20_000)
+        bad = tmp / "bad.txt"
+        bad.write_bytes(pos.read_bytes() + b"1,x\n")
+        return {"pos": pos, "mom": mom, "bad": bad, "missing": tmp / "missing.txt", "dir": tmp}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sweep_exits_0_2_or_3(self, scans, data):
+        files = ("pos", "mom")
+        if data.draw(st.integers(0, 5)) == 0:
+            files = data.draw(st.sampled_from([("mom", "pos"), ("pos", "missing"), ("bad", "mom")]))
+        argv = ["sweep", *(str(scans[f]) for f in files), "--replicates", "100"]
+        argv += ["--n-list", "1,3", "--m-list", "1"]
+        for flag in data.draw(st.lists(st.sampled_from(sorted(_SWEEP_FLAGS)), max_size=5)):
+            good, bad = _SWEEP_FLAGS[flag]
+            value = data.draw(st.sampled_from(bad if data.draw(st.integers(0, 5)) == 0 else good))
+            if flag == "--output":
+                value = str(scans["dir"] / value)
+            argv += [flag, value]
+        if data.draw(st.integers(0, 9)) == 0:
+            argv.append(data.draw(st.sampled_from(["--bogus", "--seed", "--n-list"])))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flags: exit 2, no traceback
+            code = exc.code
+        assert code in (0, 2, 3), argv
 
 
 class TestImportPath:

@@ -2,6 +2,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgwitness import (
     JointCounts,
@@ -14,6 +16,7 @@ from cgwitness import (
     sample_joint_counts,
     save_joint_counts,
 )
+from cgwitness import ingest
 from cgwitness.errors import ConfigurationError, InvalidParameterError, ParseError
 
 
@@ -243,6 +246,175 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             load_joint_counts(path)
         assert exc.value.line_number == 11
+
+
+_HEADER = "".join(
+    f"# {k}={v}\n"
+    for k, v in {
+        "variable_pair": "momentum",
+        "step_mm": 0.02,
+        "f1_mm": 50.0,
+        "f2_mm": 200.0,
+        "f3_mm": 250.0,
+        "lambda_mm": 0.00065,
+        "s_x_mm": 0.05,
+        "s_p_mm": 0.02,
+        "micrometer_step_mm": 0.01,
+        "i0": -1,
+        "j0": 2,
+    }.items()
+).encode()
+
+
+def _outcome(load):
+    """What a parse gives: the JointCounts fields, or the ParseError text and line."""
+    try:
+        jc = load()
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line_number)
+    return (
+        jc.variable_pair,
+        jc.step,
+        jc.geometry,
+        jc.i0,
+        jc.j0,
+        jc.counts.shape,
+        jc.counts.dtype,
+        jc.counts.tolist(),
+    )
+
+
+def _assert_paths_agree(path, data):
+    """load_joint_counts (fast path + fallback) against the line parser alone."""
+    path.write_bytes(data)
+
+    def line_by_line():
+        header, rows = ingest._parse_lines(data)
+        return ingest._joint_counts(header, np.array(rows, dtype=np.int64))
+
+    assert _outcome(lambda: load_joint_counts(path)) == _outcome(line_by_line)
+
+
+#: Data blocks, each after the valid _HEADER, covering the forms where
+#: np.loadtxt and int() could part ways.
+_DIFFERENTIAL_BODIES = {
+    "plain": b"1,2,3\n4,5,6\n",
+    "crlf": b"1,2\r\n3,4\r\n",
+    "cr_only": b"1,2\r3,4\r",
+    "mixed_endings": b"1,2\r\n3,4\r5,6\n",
+    "blank_lines_in_data": b"1,2\n\n\r\n3,4\n\n",
+    "whitespace_line_in_data": b"1,2\n \t\n3,4\n",
+    "signs_and_zeros": b"+5,-0\n00007,0\n",
+    "padded_tokens": b" 1 ,\t2\t\n\x0b3\x0b, 4 \n",
+    "nbsp_padding": "\xa01,2\xa0\n3,4\n".encode(),
+    "underscore": b"1_000,2\n3,4\n",
+    "fullwidth_digits": "\uff11,2\n3,4\n".encode(),
+    "arabic_indic_digits": "\u0663,2\n3,4\n".encode(),
+    "int64_max": b"9223372036854775807,0\n0,0\n",
+    "int64_max_plus_one": b"9223372036854775808,0\n0,0\n",
+    "huge": b"1,2\n3,99999999999999999999999\n",
+    "unit_separator_in_line": b"1,\x1c2\n3\x1f,4\n",
+    "letter_read_as_digit": "1,2\n3,4\u01fe\n".encode(),
+    "form_feed_in_line": b"1,2\x0c\n3,\x0c4\n",
+    "form_feed_line": b"1,2\n\x0c\n3,4\n",
+    "line_separator_in_line": "1,\u20282\n3,4\n".encode(),
+    "next_line_in_line": "1,\x852\n3,4\n".encode(),
+    "non_utf8": b"1,2\n3,\xff4\n",
+    "non_utf8_space": b"1,2\n3,\xa04\n",
+    "header_after_data": b"1,2\n# step_mm=0.1\n3,4\n",
+    "hash_in_token": b"1,2\n3,#4\n",
+    "ragged": b"1,2\n3,4,5\n",
+    "short_last_row": b"1,2\n3\n",
+    "trailing_comma": b"1,2,\n3,4,\n",
+    "empty_token": b"1,,2\n3,4,5\n",
+    "one_row": b"1,2,3,4\n",
+    "one_column": b"1\n2\n3\n",
+    "one_cell": b"7",
+    "negative": b"1,2\n3,-4\n",
+    "fractional": b"1,2\n3,4.5\n",
+    "exponent": b"1e2,2\n3,4\n",
+    "hex": b"0x10,2\n3,4\n",
+    "nul": b"1\x00,2\n3,4\n",
+    "all_zero": b"0,0\n0,0\n",
+    "total_above_int64": b"5000000000000000000,5000000000000000000\n1,2\n",
+    "no_rows": b"\n\n",
+}
+
+
+class TestIngestPaths:
+    """Every file gives what the line-by-line parser alone gives."""
+
+    @pytest.mark.parametrize("body", _DIFFERENTIAL_BODIES.values(), ids=_DIFFERENTIAL_BODIES)
+    def test_named_forms(self, tmp_path, body):
+        _assert_paths_agree(tmp_path / "scan.txt", _HEADER + body)
+
+    def test_header_errors_keep_their_line_numbers(self, tmp_path):
+        data = _HEADER.replace(b"# f3_mm=250.0", b"# f3_mm 250.0") + b"1,2\n3,4\n"
+        _assert_paths_agree(tmp_path / "scan.txt", data)
+        with pytest.raises(ParseError) as exc:
+            load_joint_counts(tmp_path / "scan.txt")
+        assert exc.value.line_number == 5
+
+    _TOKENS = st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(
+            ["+5", "-0", "-3", "00007", "1_000", "\uff17", "\u0663", "\u01fe", "", "x", "1.0", "#1",
+             str(2**63 - 1), str(2**63), str(2**64)]
+        ),
+    )
+    _PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\xa0", "\x1c", "\x85", "\u2028", "\u3000"])
+    _ENDINGS = st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"])
+    _EXTRA_LINES = st.sampled_from([b"", b" ", "\x0c".encode(), b"# step_mm=1", b"\xff", b"1,2"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_valid_files(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(1, 4))
+        cols = data.draw(st.integers(1, 4))
+        lines = []
+        for _ in range(rows):
+            tokens = data.draw(st.lists(st.integers(0, 99).map(str), min_size=cols, max_size=cols))
+            for k in data.draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+                tokens[k] = data.draw(self._PADS) + data.draw(self._TOKENS) + data.draw(self._PADS)
+            line = ",".join(tokens)
+            if data.draw(st.integers(0, 9)) == 0:
+                line += ","
+            if data.draw(st.integers(0, 9)) == 0:
+                line = line[: data.draw(st.integers(0, len(line)))]
+            lines.append(line.encode())
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(self._EXTRA_LINES))
+        body = b"".join(line + data.draw(self._ENDINGS) for line in lines)
+        _assert_paths_agree(tmp_path_factory.mktemp("fuzz") / "scan.txt", _HEADER + body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=st.binary(max_size=64), with_header=st.booleans())
+    def test_arbitrary_bytes(self, tmp_path_factory, body, with_header):
+        data = (_HEADER if with_header else b"") + body
+        _assert_paths_agree(tmp_path_factory.mktemp("fuzz") / "scan.txt", data)
+
+    def test_saved_scan_takes_the_fast_path(self, entangled_state, geometry, tmp_path):
+        jc = sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=5)
+        save_joint_counts(jc, tmp_path / "scan.txt")
+        data = (tmp_path / "scan.txt").read_bytes()
+        counts = ingest._loadtxt_counts(data[ingest._data_start(data):])
+        np.testing.assert_array_equal(counts, jc.counts)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            b"1_000,2\n3,4\n",
+            b"1,2\r3,4\r",
+            b"1,2\n# i0=0\n3,4\n",
+            b"1,2\n3,-4\n",
+            b"1,\xff\n",
+            b"1,\x1c2\n",
+            "1,2\u01fe\n".encode(),
+        ],
+        ids=["underscore", "cr_only", "hash", "negative", "non_utf8", "unit_separator", "non_ascii"],
+    )
+    def test_fast_path_refuses(self, block):
+        assert ingest._loadtxt_counts(block) is None
 
 
 class TestGeometryMatching:

@@ -50,6 +50,16 @@ class TestErrorModel:
         with pytest.raises(InvalidParameterError, match="at most"):
             ErrorModel(replicates=MAX_REPLICATES + 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", np.random.SeedSequence(7)])
+    def test_rejects_negative_or_non_integer_seed(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            ErrorModel(seed=seed)
+
+    def test_accepts_integer_or_no_seed(self):
+        assert ErrorModel(seed=None).seed is None
+        assert ErrorModel(seed=np.int64(3)).seed == 3
+        assert ErrorModel(seed=2**70).seed == 2**70
+
     def test_jitter_sigma_anchors(self, geometry):
         em = ErrorModel()
         assert em.center_sigma_position(1, geometry) == pytest.approx(
