@@ -5,9 +5,10 @@ stay valid at finite bin size. This package provides the corrected
 variance-product and entropy-sum criteria on sum/difference marginals
 (with the band-limiting bound constant behind the entropic one), the
 Gaussian pair-state model used to synthesize and cross-check data, scan
-ingest with detector-to-source unit conversion, and Monte Carlo error
-propagation — plus the deliberately naive discrete criterion that shows
-why the corrections matter.
+ingest with detector-to-source unit conversion, and sweep_grid, which
+evaluates the data witnesses on two scans at every requested bin size, with
+Monte Carlo standard errors — plus the deliberately naive discrete
+criterion that shows why the corrections matter.
 """
 
 from .binning import (
@@ -61,7 +62,7 @@ from .stats import (
     histogram_entropy,
     histogram_variance,
 )
-from .uncertainty import ErrorModel, WitnessPipeline, propagate
+from .uncertainty import ErrorModel, sweep_grid
 from .witnesses import (
     CONTINUOUS_ENTROPIC_BOUND,
     DATA_WITNESS_IDS,
@@ -102,7 +103,6 @@ __all__ = [
     "PropagationError",
     "TruncationError",
     "WITNESS_IDS",
-    "WitnessPipeline",
     "WitnessReport",
     "bin_mass_oracle",
     "characteristic_solution",
@@ -124,11 +124,11 @@ __all__ = [
     "load_joint_counts",
     "mgvt_continuous",
     "naive_discrete_witness",
-    "propagate",
     "radial_first_kind",
     "rebin",
     "sample_joint_counts",
     "sample_marginal_counts",
     "save_joint_counts",
+    "sweep_grid",
     "__version__",
 ]

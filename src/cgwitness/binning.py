@@ -64,11 +64,24 @@ class BinGrid:
         return self.indices * self.width
 
 
-def check_count_total(counts: np.ndarray) -> None:
-    """Refuse nonnegative int64 counts whose total an int64 sum would wrap."""
+def frozen_counts(counts) -> np.ndarray:
+    """A read-only int64 copy of an integer count array of any shape.
+
+    Refuses a non-integer dtype, a negative count and a total that an int64
+    sum would wrap. Always a copy, so a caller's array is never frozen or
+    aliased.
+    """
+    c = np.asarray(counts)
+    if not np.issubdtype(c.dtype, np.integer):
+        raise InvalidParameterError("counts must be integers")
+    c = c.astype(np.int64)
+    if np.any(c < 0):
+        raise InvalidParameterError("counts must be nonnegative")
     # the float sum flags candidates; the exact Python sum decides
-    if counts.sum(dtype=np.float64) >= 2.0**62 and sum(counts.ravel().tolist()) > MAX_COUNT:
+    if c.sum(dtype=np.float64) >= 2.0**62 and sum(c.ravel().tolist()) > MAX_COUNT:
         raise InvalidParameterError(f"counts total above {MAX_COUNT}")
+    c.setflags(write=False)
+    return c
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -119,18 +132,12 @@ class CountHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts)
-        if not np.issubdtype(c.dtype, np.integer):
-            raise InvalidParameterError("counts must be integers")
-        c = c.astype(np.int64)
+        c = frozen_counts(self.counts)
         if c.shape != (self.grid.n_bins,):
             raise InvalidParameterError(
                 f"expected {self.grid.n_bins} counts, got shape {c.shape}"
             )
-        if np.any(c < 0):
-            raise InvalidParameterError("counts must be nonnegative")
-        check_count_total(c)
-        object.__setattr__(self, "counts", _readonly(c))
+        object.__setattr__(self, "counts", c)
 
     @property
     def total(self) -> int:

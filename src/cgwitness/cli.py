@@ -237,13 +237,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo_false_positive(args) -> int:
-    sigma_plus = args.sigma if args.sigma_plus is None else args.sigma_plus
-    sigma_minus = args.sigma if args.sigma_minus is None else args.sigma_minus
-    if sigma_plus != sigma_minus:
-        raise ConfigurationError(
-            "the false-positive demonstration is about separable states; "
-            "sigma_plus must equal sigma_minus"
-        )
     if not args.multiplier > 0:
         raise ConfigurationError(f"--multiplier must be positive, got {args.multiplier}")
     # each marginal grid spans +/- SPAN_SIGMAS standard deviations in bins of
@@ -254,7 +247,8 @@ def cmd_demo_false_positive(args) -> int:
             f"bins per marginal (limit {MAX_DEMO_BINS}); "
             f"use --multiplier >= {SPAN_SIGMAS / MAX_DEMO_BINS:g}"
         )
-    state = GaussianTwoPhotonState(sigma_plus, sigma_minus)
+    # equal widths make the state separable: the demonstration is about false positives
+    state = GaussianTwoPhotonState(args.sigma, args.sigma)
     marg = exact_marginals(state)
     r_spec, s_spec = marg.x_plus, marg.p_minus
     # bins span +/- multiplier standard deviations, i.e. width 2*multiplier*std:
@@ -352,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the naive discrete witness failing on a separable state",
     )
     p_demo.add_argument("--sigma", type=float, default=1.0, help="common marginal width")
-    p_demo.add_argument("--sigma-plus", type=float, default=None)
-    p_demo.add_argument("--sigma-minus", type=float, default=None)
     p_demo.add_argument(
         "--multiplier",
         type=float,
@@ -380,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a bad flag
+        return exc.code
     try:
         return args.func(args)
     except OSError as exc:

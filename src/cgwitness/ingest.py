@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import MAX_COUNT, BinGrid, CountHistogram, check_count_total
+from .binning import MAX_COUNT, BinGrid, CountHistogram, frozen_counts
 from .errors import ConfigurationError, InvalidParameterError, ParseError
 
 _GEOMETRY_KEYS = (
@@ -98,14 +98,7 @@ class JointCounts:
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
             raise InvalidParameterError("counts must be a non-empty 2-D array")
-        if not np.issubdtype(c.dtype, np.integer):
-            if not np.all(c == np.floor(c)):
-                raise InvalidParameterError("counts must be integers")
-        c = c.astype(np.int64)
-        if np.any(c < 0):
-            raise InvalidParameterError("counts must be nonnegative")
-        check_count_total(c)
-        c.setflags(write=False)
+        c = frozen_counts(c)
         object.__setattr__(self, "counts", c)
         rows, cols = c.shape
         if self.i0 is None:

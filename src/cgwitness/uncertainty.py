@@ -15,15 +15,16 @@ The micrometer-step model for the center errors, at rebin factors (n, m):
     sigma_position(n) = step * sqrt(2) * n * (f1/f2)
     sigma_momentum(m) = step * sqrt(2) * (2*m*pi / (f3*lambda))
 
-Every data witness combines one statistic of a rebinned position marginal
-with one of a rebinned momentum marginal, so `sweep_grid` resamples and
-reduces each marginal once per (axis, sign, factor), to per-replicate
-variances and entropies of shape (B,), and builds every (n, m, pairing,
-witness) cell by broadcasting those arrays through witnesses.witness_input
-and witness_value, the definitions the single-cell witnesses also use. The
-point estimate is the B = 1 row of the unperturbed masses, and `propagate`
-is the 1x1 case. Replicates resample only the occupied bins, which is
-exact: Poisson(0) always draws 0.
+`sweep_grid` is the one route from two scans to witness values and their
+errors; a single cell is the 1x1 grid. Every data witness combines one
+statistic of a rebinned position marginal with one of a rebinned momentum
+marginal, so `sweep_grid` resamples and reduces each marginal once per
+(axis, sign, factor), to per-replicate variances and entropies of shape
+(B,), and builds every (n, m, pairing, witness) cell by broadcasting those
+arrays through witnesses.witness_input and witness_value, the definitions
+the single-cell witnesses also use. The point estimate is the B = 1 row of
+the unperturbed masses. Replicates resample only the occupied bins, which
+is exact: Poisson(0) always draws 0.
 
 Random streams: the marginal of scan axis a (0 position, 1 momentum),
 diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
@@ -37,7 +38,7 @@ which other cells are swept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -55,16 +56,10 @@ from .ingest import (
 from .witnesses import (
     DATA_WITNESS_IDS,
     PAIRINGS,
-    WitnessReport,
-    coarse_entropic_witness,
-    coarse_variance_witness,
-    naive_discrete_witness,
     witness_input,
     witness_value,
 )
 
-#: pairing token -> diagonal signs of its (position, momentum) marginals
-_PAIRING_SIGNS = {"pm": ("+", "-"), "mp": ("-", "+")}
 _AXIS_INDEX = {"position": 0, "momentum": 1}
 _SIGN_INDEX = {"+": 0, "-": 1}
 _COUNTS_STREAM, _JITTER_STREAM = 0, 1
@@ -120,65 +115,6 @@ class ErrorModel:
             * math.sqrt(2.0)
             * (2.0 * m * math.pi / (geometry.f3_mm * geometry.lambda_mm))
         )
-
-
-def _check_witness_id(witness_id: str) -> None:
-    if witness_id not in DATA_WITNESS_IDS:
-        raise ConfigurationError(
-            f"witness {witness_id!r} cannot be evaluated from count data; "
-            f"choose from {','.join(DATA_WITNESS_IDS)}"
-        )
-
-
-def _check_pairing(pairing: str) -> None:
-    if pairing not in PAIRINGS:
-        raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
-
-
-def _check_scan_order(position: JointCounts, momentum: JointCounts) -> None:
-    if position.variable_pair != "position":
-        raise ConfigurationError("first scan must have variable_pair=position")
-    if momentum.variable_pair != "momentum":
-        raise ConfigurationError("second scan must have variable_pair=momentum")
-
-
-@dataclass(frozen=True)
-class WitnessPipeline:
-    """Full recipe from two joint scans to one witness value.
-
-    pairing "pm" pairs the position-sum marginal with the momentum-
-    difference marginal; "mp" the other diagonal. n and m are the odd
-    rebin factors applied to the base position and momentum grids.
-    """
-
-    witness_id: str
-    pairing: str = "pm"
-    n: int = 1
-    m: int = 1
-
-    def __post_init__(self):
-        _check_witness_id(self.witness_id)
-        _check_pairing(self.pairing)
-        for name, v in (("n", self.n), ("m", self.m)):
-            if not (isinstance(v, (int, np.integer)) and v >= 1 and v % 2 == 1):
-                raise ConfigurationError(f"{name} must be an odd positive integer, got {v!r}")
-
-    def marginals(self, position: JointCounts, momentum: JointCounts):
-        """Rebinned (R, S) marginal count histograms for this pipeline."""
-        _check_scan_order(position, momentum)
-        sign_r, sign_s = _PAIRING_SIGNS[self.pairing]
-        r = rebin(global_marginal(position, sign_r), self.n)
-        s = rebin(global_marginal(momentum, sign_s), self.m)
-        return r, s
-
-    def evaluate(self, position: JointCounts, momentum: JointCounts) -> WitnessReport:
-        """Point estimate of the witness on the observed counts."""
-        r, s = self.marginals(position, momentum)
-        if self.witness_id == "coarse_variance":
-            return coarse_variance_witness(r.normalize(), s.normalize(), pairing=self.pairing)
-        if self.witness_id == "coarse_entropic":
-            return coarse_entropic_witness(r.normalize(), s.normalize(), pairing=self.pairing)
-        return naive_discrete_witness(r.normalize(), s.normalize(), pairing=self.pairing)
 
 
 @dataclass(frozen=True)
@@ -267,21 +203,33 @@ def sweep_grid(
     """Witness values, and optionally standard errors, over a grid of rebin factors.
 
     Returns {(pairing, witness_id): (values, uncertainties)}, each a
-    (len(n_list), len(m_list)) array whose entry [i, j] belongs to
-    WitnessPipeline(witness_id, pairing, n_list[i], m_list[j]).
-    uncertainties is None without an error model; otherwise it is the
-    ddof=1 standard deviation of the witness over the replicates in which
-    both marginals drew a positive total. A cell that discards more than
-    10% of its replicates, or keeps fewer than 2, raises PropagationError.
-    A pairing outside PAIRINGS or a witness_id outside DATA_WITNESS_IDS
-    raises ConfigurationError. Deterministic for a fixed ErrorModel.seed.
+    (len(n_list), len(m_list)) array whose entry [i, j] is the witness on
+    the position marginal rebinned by n_list[i] and the momentum marginal
+    rebinned by m_list[j], both on the diagonals that pairing names in
+    PAIRINGS; a single cell is the 1x1 grid. uncertainties is None without
+    an error model; otherwise it is the ddof=1 standard deviation of the
+    witness over the replicates in which both marginals drew a positive
+    total. A cell that discards more than 10% of its replicates, or keeps
+    fewer than 2, raises PropagationError. Swapped scans, scans of two
+    geometries, a pairing outside PAIRINGS or a witness_id outside
+    DATA_WITNESS_IDS raise ConfigurationError; an even or non-positive
+    factor raises InvalidParameterError (from binning.rebin).
+    Deterministic for a fixed ErrorModel.seed.
     """
-    _check_scan_order(position, momentum)
+    if position.variable_pair != "position":
+        raise ConfigurationError("first scan must have variable_pair=position")
+    if momentum.variable_pair != "momentum":
+        raise ConfigurationError("second scan must have variable_pair=momentum")
     ensure_matching_geometry(position, momentum)
     for pairing in pairings:
-        _check_pairing(pairing)
+        if pairing not in PAIRINGS:
+            raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
     for witness_id in witness_ids:
-        _check_witness_id(witness_id)
+        if witness_id not in DATA_WITNESS_IDS:
+            raise ConfigurationError(
+                f"witness {witness_id!r} cannot be evaluated from count data; "
+                f"choose from {','.join(DATA_WITNESS_IDS)}"
+            )
     em = error_model
     root = None
     if em is not None:
@@ -317,7 +265,8 @@ def sweep_grid(
     log_bound = None
     out = {}
     for pairing in pairings:
-        sign_r, sign_s = _PAIRING_SIGNS[pairing]
+        # the diagonal sign is the second character of each variable ("x+", "p-")
+        sign_r, sign_s = (variable[1] for variable in PAIRINGS[pairing])
         r_point, r_reps = marginal_stats(position, sign_r, n_list)
         s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
         if need_entropy and log_bound is None:
@@ -360,33 +309,3 @@ def sweep_grid(
             out[pairing, witness_id] = (values, uncertainties)
     return out
 
-
-def propagate(
-    position: JointCounts,
-    momentum: JointCounts,
-    pipeline: WitnessPipeline,
-    error_model: ErrorModel,
-) -> WitnessReport:
-    """Witness point estimate plus Monte Carlo standard error.
-
-    The reported value is computed once on the unperturbed data; the
-    uncertainty is the ddof=1 standard deviation of the witness across
-    replicates, each with Poisson-resampled marginal counts and, under
-    center_jitter, Gaussian-jittered bin centers. Replicates whose resampled
-    total is zero are discarded; more than 10% discards raises
-    PropagationError.
-    Deterministic for a fixed ErrorModel.seed. The one-cell case of
-    sweep_grid, so it draws the same random numbers as that cell of a sweep.
-    """
-    grid = sweep_grid(
-        position,
-        momentum,
-        [pipeline.n],
-        [pipeline.m],
-        error_model,
-        pairings=(pipeline.pairing,),
-        witness_ids=(pipeline.witness_id,),
-    )
-    _, uncertainty = grid[pipeline.pairing, pipeline.witness_id]
-    base = pipeline.evaluate(position, momentum)
-    return replace(base, uncertainty=float(uncertainty[0, 0]))

@@ -55,8 +55,7 @@ class WitnessReport:
 
     value is LHS - bound: negative means entanglement detected. For the
     naive discrete criterion `unsafe` is always True — a negative value
-    there may be a false positive. uncertainty is the Monte Carlo standard
-    error that uncertainty.propagate fills in with dataclasses.replace.
+    there may be a false positive.
     """
 
     witness_id: str
@@ -64,7 +63,6 @@ class WitnessReport:
     value: float
     inputs_summary: dict = field(default_factory=dict)
     bin_widths: tuple | None = None
-    uncertainty: float | None = None
     unsafe: bool = False
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import pro_rad1
 
-from cgwitness import GaussianTwoPhotonState, OpticalGeometry
+from cgwitness import GaussianTwoPhotonState, OpticalGeometry, global_marginal, rebin
 from cgwitness.binning import BinGrid, DiscreteDistribution
 from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, concentration_eigenvalue
 
@@ -32,6 +32,16 @@ def random_discrete(rng, *, max_bins: int = 40) -> DiscreteDistribution:
     masses = rng.gamma(0.7, size=n) + 1e-12
     masses /= masses.sum()
     return DiscreteDistribution(BinGrid(width, j_min, j_min + n - 1), masses)
+
+
+def rebinned_marginals(position, momentum, pairing, n, m):
+    """Rebinned (position, momentum) marginal counts of one sweep_grid cell.
+
+    "pm" pairs the position sum with the momentum difference, "mp" the
+    position difference with the momentum sum.
+    """
+    sign_r, sign_s = {"pm": ("+", "-"), "mp": ("-", "+")}[pairing]
+    return rebin(global_marginal(position, sign_r), n), rebin(global_marginal(momentum, sign_s), m)
 
 
 def radial_first_kind_specfun(c: float) -> float:

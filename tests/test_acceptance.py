@@ -142,14 +142,11 @@ def test_criterion_6_entropic_beats_variance_under_coarse_graining():
         st = cg.GaussianTwoPhotonState(10.0, 10.0 / ratio)
         pos = cg.sample_joint_counts(st, geo, "position", 1e6, seed=1000 + idx)
         mom = cg.sample_joint_counts(st, geo, "momentum", 1e6, seed=2000 + idx)
-        for wid in ("coarse_variance", "coarse_entropic"):
-            detected = [
-                n
-                for n in factors
-                if cg.WitnessPipeline(witness_id=wid, pairing="pm", n=n, m=n)
-                .evaluate(pos, mom)
-                .detected
-            ]
+        wids = ("coarse_variance", "coarse_entropic")
+        grid = cg.sweep_grid(pos, mom, factors, factors, pairings=("pm",), witness_ids=wids)
+        for wid in wids:
+            values, _ = grid["pm", wid]
+            detected = [n for i, n in enumerate(factors) if values[i, i] < 0]
             max_detect[(ratio, wid)] = max(detected) if detected else 0
     at_four = (
         max_detect[(4.0, "coarse_entropic")] >= max_detect[(4.0, "coarse_variance")]
@@ -210,13 +207,15 @@ def test_criterion_7_bound_self_certification():
 def test_criterion_8_statistical_scaling():
     geo = cg.OpticalGeometry()
     st = cg.GaussianTwoPhotonState(10.0, 2.5)
-    pipe = cg.WitnessPipeline(witness_id="coarse_variance", pairing="pm", n=5, m=5)
     em = cg.ErrorModel(center_jitter=False, replicates=1000, seed=7)
     stderr = {}
     for scale, seeds in ((1e4, (21, 22)), (1e6, (23, 24))):
         pos = cg.sample_joint_counts(st, geo, "position", scale, seed=seeds[0])
         mom = cg.sample_joint_counts(st, geo, "momentum", scale, seed=seeds[1])
-        stderr[scale] = cg.propagate(pos, mom, pipe, em).uncertainty
+        grid = cg.sweep_grid(
+            pos, mom, [5], [5], em, pairings=("pm",), witness_ids=("coarse_variance",)
+        )
+        stderr[scale] = grid["pm", "coarse_variance"][1][0, 0]
     ratio = stderr[1e4] / stderr[1e6]
     ok = 8.0 <= ratio <= 12.0
     assert _report(

@@ -48,15 +48,19 @@ class TestGeometry:
 
 
 class TestJointCounts:
-    def test_integral_float_counts_coerced(self, geometry):
-        jc = JointCounts(
-            variable_pair="position",
-            step=0.05,
-            counts=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            geometry=geometry,
-        )
-        assert jc.counts.dtype == np.int64
-        assert jc.total == 21
+    @pytest.mark.parametrize(
+        "counts", [[[1.0, 2.0], [3.0, 4.0]], [[1e19]]], ids=["integral", "above_int64"]
+    )
+    def test_float_counts_rejected(self, geometry, counts):
+        # 1e19 would otherwise cast to a negative int64, with a RuntimeWarning
+        with pytest.raises(InvalidParameterError, match="counts must be integers"):
+            JointCounts("position", 0.05, np.array(counts), geometry)
+
+    def test_counts_are_a_readonly_copy(self, geometry):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        jc = JointCounts("position", 0.05, counts, geometry)
+        assert not jc.counts.flags.writeable and counts.flags.writeable
+        assert not np.shares_memory(jc.counts, counts)
 
     def test_non_integral_rejected(self, geometry):
         with pytest.raises(InvalidParameterError):

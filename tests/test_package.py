@@ -9,6 +9,7 @@ from cgwitness import (
     ErrorModel,
     GaussianTwoPhotonState,
     GlobalMarginals,
+    WitnessReport,
     coarse_entropic_witness,
     coarse_grained_marginal,
     coarse_variance_witness,
@@ -17,6 +18,7 @@ from cgwitness import (
     naive_discrete_witness,
     sample_marginal_counts,
 )
+from cgwitness.cli import build_parser
 
 #: Names the package no longer exports; nothing in the package called them.
 REMOVED = (
@@ -28,6 +30,8 @@ REMOVED = (
     "discrete_mean",
     "classify_separable",
     "branch_switch_gamma",
+    "WitnessPipeline",
+    "propagate",
 )
 
 #: Keywords the functions no longer take; no caller outside their own tests set them.
@@ -77,9 +81,16 @@ class TestPublicSurface:
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
         assert not hasattr(GlobalMarginals, "by_name")
 
+    def test_sweep_grid_is_exported(self):
+        assert "sweep_grid" in cgwitness.__all__
+
     def test_removed_parameters_are_gone(self):
         fields = tuple(f.name for f in dataclasses.fields(ErrorModel))
         assert fields == ("center_jitter", "replicates", "seed")
+        assert "uncertainty" not in {f.name for f in dataclasses.fields(WitnessReport)}
+        demo = vars(build_parser().parse_args(["demo-false-positive"]))
+        assert "sigma" in demo
+        assert not {"sigma_plus", "sigma_minus"} & set(demo)
         for fn, names in REMOVED_PARAMETERS:
             params = inspect.signature(fn).parameters
             for name in names:

@@ -7,9 +7,10 @@ from cgwitness import (
     ErrorModel,
     GaussianTwoPhotonState,
     JointCounts,
-    WitnessPipeline,
+    coarse_entropic_witness,
+    coarse_variance_witness,
     entropic_bound_constant,
-    propagate,
+    naive_discrete_witness,
     sample_joint_counts,
 )
 from cgwitness.cli import DEFAULT_FACTORS
@@ -20,6 +21,7 @@ from cgwitness.errors import (
 )
 from cgwitness import uncertainty
 from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
+from conftest import rebinned_marginals
 
 
 @pytest.fixture(scope="module")
@@ -74,65 +76,72 @@ class TestErrorModel:
         )
 
 
-class TestWitnessPipeline:
-    def test_rejects_non_data_witness(self):
-        with pytest.raises(ConfigurationError):
-            WitnessPipeline(witness_id="mgvt_continuous")
+def _one_cell(pos, mom, witness_id, n, m, error_model=None, pairing="pm"):
+    """(value, uncertainty) of one cell, from a 1x1 sweep_grid."""
+    values, unc = sweep_grid(
+        pos, mom, [n], [m], error_model, pairings=(pairing,), witness_ids=(witness_id,)
+    )[pairing, witness_id]
+    return values[0, 0], None if unc is None else unc[0, 0]
 
-    def test_rejects_even_or_nonpositive_factors(self):
+
+class TestWitnessPipeline:
+    """From two scans to a witness value: what sweep_grid refuses and which diagonals it takes."""
+
+    def test_rejects_non_data_witness(self, scans):
         with pytest.raises(ConfigurationError):
-            WitnessPipeline(witness_id="coarse_variance", n=2)
-        with pytest.raises(ConfigurationError):
-            WitnessPipeline(witness_id="coarse_variance", m=0)
+            sweep_grid(*scans, [1], [1], witness_ids=("mgvt_continuous",))
+
+    def test_rejects_even_or_nonpositive_factors(self, scans):
+        with pytest.raises(InvalidParameterError):
+            sweep_grid(*scans, [2], [1])
+        with pytest.raises(InvalidParameterError):
+            sweep_grid(*scans, [1], [0])
 
     def test_rejects_swapped_scan_files(self, scans):
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance")
         with pytest.raises(ConfigurationError):
-            pipe.evaluate(mom, pos)
+            sweep_grid(mom, pos, [1], [1])
 
     def test_evaluate_matches_manual_rebin(self, scans):
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance", pairing="pm", n=3, m=1)
-        r, s = pipe.marginals(pos, mom)
-        from cgwitness import coarse_variance_witness
-
+        r, s = rebinned_marginals(pos, mom, "pm", 3, 1)
         manual = coarse_variance_witness(r.normalize(), s.normalize()).value
-        assert pipe.evaluate(pos, mom).value == pytest.approx(manual, rel=1e-12)
+        value, _ = _one_cell(pos, mom, "coarse_variance", 3, 1)
+        assert value == pytest.approx(manual, rel=1e-12)
 
     def test_mp_pairing_uses_other_diagonals(self, scans):
-        pos, mom = scans
-        a = WitnessPipeline(witness_id="coarse_variance", pairing="pm").evaluate(*scans)
-        b = WitnessPipeline(witness_id="coarse_variance", pairing="mp").evaluate(*scans)
-        assert a.pairing == "pm" and b.pairing == "mp"
-        assert a.value != pytest.approx(b.value, rel=1e-6)
+        grid = sweep_grid(*scans, [1], [1], witness_ids=("coarse_variance",))
+        a, _ = grid["pm", "coarse_variance"]
+        b, _ = grid["mp", "coarse_variance"]
+        assert a[0, 0] != pytest.approx(b[0, 0], rel=1e-6)
 
 
 class TestPropagate:
+    """Monte Carlo standard errors of single cells (1x1 grids)."""
+
     def test_point_estimate_is_unperturbed(self, scans):
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance", n=3, m=3)
         em = ErrorModel(replicates=150, seed=5)
-        rep = propagate(pos, mom, pipe, em)
-        assert rep.value == pytest.approx(pipe.evaluate(pos, mom).value, rel=1e-12)
-        assert rep.uncertainty is not None and rep.uncertainty > 0.0
+        value, unc = _one_cell(pos, mom, "coarse_variance", 3, 3, em)
+        r, s = rebinned_marginals(pos, mom, "pm", 3, 3)
+        want = coarse_variance_witness(r.normalize(), s.normalize()).value
+        assert value == pytest.approx(want, rel=1e-12)
+        assert unc > 0.0
 
     def test_deterministic_given_seed(self, scans):
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_entropic", n=3, m=3)
         em = ErrorModel(replicates=150, seed=8)
-        a = propagate(pos, mom, pipe, em)
-        b = propagate(pos, mom, pipe, em)
-        assert a.uncertainty == b.uncertainty
+        a = _one_cell(pos, mom, "coarse_entropic", 3, 3, em)
+        b = _one_cell(pos, mom, "coarse_entropic", 3, 3, em)
+        assert a[1] == b[1]
 
     def test_poisson_stderr_matches_independent_resampling(self, scans):
         # same statistic, independently coded Monte Carlo
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance", n=3, m=3)
         em = ErrorModel(center_jitter=False, replicates=1000, seed=13)
-        got = propagate(pos, mom, pipe, em).uncertainty
+        _, got = _one_cell(pos, mom, "coarse_variance", 3, 3, em)
 
-        r, s = pipe.marginals(pos, mom)
+        r, s = rebinned_marginals(pos, mom, "pm", 3, 3)
         rng = np.random.default_rng(99)
         values = []
         for _ in range(4000):
@@ -150,21 +159,21 @@ class TestPropagate:
     def test_entropic_uncertainty_ignores_jitter(self, scans):
         # center jitter shifts bin positions; entropies use masses only
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_entropic", n=5, m=5)
-        a = propagate(pos, mom, pipe, ErrorModel(replicates=300, seed=3))
-        b = propagate(
-            pos, mom, pipe, ErrorModel(center_jitter=False, replicates=300, seed=3)
+        _, a = _one_cell(pos, mom, "coarse_entropic", 5, 5, ErrorModel(replicates=300, seed=3))
+        _, b = _one_cell(
+            pos, mom, "coarse_entropic", 5, 5, ErrorModel(center_jitter=False, replicates=300, seed=3)
         )
-        assert a.uncertainty == pytest.approx(b.uncertainty, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_per_bin_jitter_inflates_variance_uncertainty(self, scans):
         pos, mom = scans
-        pipe = WitnessPipeline(witness_id="coarse_variance", n=5, m=5)
-        with_jitter = propagate(pos, mom, pipe, ErrorModel(replicates=500, seed=6))
-        without = propagate(
-            pos, mom, pipe, ErrorModel(center_jitter=False, replicates=500, seed=6)
+        _, with_jitter = _one_cell(
+            pos, mom, "coarse_variance", 5, 5, ErrorModel(replicates=500, seed=6)
         )
-        assert with_jitter.uncertainty > without.uncertainty
+        _, without = _one_cell(
+            pos, mom, "coarse_variance", 5, 5, ErrorModel(center_jitter=False, replicates=500, seed=6)
+        )
+        assert with_jitter > without
 
     def test_starved_counts_raise_propagation_error(self, geometry):
         ones = np.zeros((3, 3), dtype=np.int64)
@@ -175,10 +184,9 @@ class TestPropagate:
         mom = JointCounts(
             variable_pair="momentum", step=0.02, counts=ones, geometry=geometry
         )
-        pipe = WitnessPipeline(witness_id="coarse_variance")
         em = ErrorModel(replicates=200, seed=0)
         with pytest.raises(PropagationError):
-            propagate(pos, mom, pipe, em)
+            _one_cell(pos, mom, "coarse_variance", 1, 1, em)
 
     def test_geometry_mismatch_rejected(self, scans, geometry):
         pos, _ = scans
@@ -187,14 +195,13 @@ class TestPropagate:
         other = cg.OpticalGeometry(f2_mm=150.0)
         st = GaussianTwoPhotonState(10.0, 2.5)
         mom = sample_joint_counts(st, other, "momentum", 1e4, seed=9)
-        pipe = WitnessPipeline(witness_id="coarse_variance")
         with pytest.raises(ConfigurationError):
-            propagate(pos, mom, pipe, ErrorModel(replicates=150))
+            _one_cell(pos, mom, "coarse_variance", 1, 1, ErrorModel(replicates=150))
 
 
 def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicates, rng):
     """Per-cell Poisson + per-bin center jitter resampling, coded from scratch."""
-    r, s = WitnessPipeline(witness_id, pairing, n, m).marginals(pos, mom)
+    r, s = rebinned_marginals(pos, mom, pairing, n, m)
     step = geometry.micrometer_step_mm
     sigmas = (
         step * math.sqrt(2) * n * geometry.f1_mm / geometry.f2_mm,
@@ -268,9 +275,14 @@ class TestSweepGrid:
         # 121 cells, 88 distinct float products of the two bin widths
         assert len(calls) == len(set(calls)) == 88
 
-    def test_values_match_pipeline_evaluate(self, scans):
+    def test_values_match_single_cell_witnesses(self, scans):
         # the single-cell witnesses are the B = 1 case of the batched
         # formulas, so every cell of the default grid agrees bit for bit
+        witness = {
+            "coarse_variance": coarse_variance_witness,
+            "coarse_entropic": coarse_entropic_witness,
+            "naive_discrete": naive_discrete_witness,
+        }
         pos, mom = scans
         factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
         grid = sweep_grid(pos, mom, factors, factors)
@@ -279,10 +291,11 @@ class TestSweepGrid:
             assert unc is None
             for i, n in enumerate(factors):
                 for j, m in enumerate(factors):
-                    want = WitnessPipeline(witness_id, pairing, n, m).evaluate(pos, mom).value
+                    r, s = rebinned_marginals(pos, mom, pairing, n, m)
+                    want = witness[witness_id](r.normalize(), s.normalize(), pairing=pairing).value
                     assert values[i, j] == want, (pairing, witness_id, n, m)
 
-    def test_propagate_is_the_one_cell_case(self, scans):
+    def test_one_cell_grid_matches_larger_grid(self, scans):
         # each marginal draws from its own (axis, sign, factor) stream, so a
         # cell's uncertainty does not depend on which other cells are swept
         pos, mom = scans
@@ -290,6 +303,7 @@ class TestSweepGrid:
         grid = sweep_grid(pos, mom, [1, 3, 5], [1, 3], em)
         for witness_id in ("coarse_variance", "coarse_entropic", "naive_discrete"):
             for pairing in ("pm", "mp"):
-                pipe = WitnessPipeline(witness_id, pairing, n=5, m=3)
-                one = propagate(pos, mom, pipe, em).uncertainty
-                assert grid[pairing, witness_id][1][2, 1] == pytest.approx(one, rel=1e-12)
+                value, one = _one_cell(pos, mom, witness_id, 5, 3, em, pairing)
+                values, unc = grid[pairing, witness_id]
+                assert values[2, 1] == value
+                assert unc[2, 1] == pytest.approx(one, rel=1e-12)
