@@ -5,8 +5,9 @@ stay valid at finite bin size. This package provides the corrected
 variance-product and entropy-sum criteria on sum/difference marginals
 (with the band-limiting bound constant behind the entropic one), the
 Gaussian pair-state model used to synthesize and cross-check data, scan
-ingest with detector-to-source unit conversion, and sweep_grid, which
-evaluates the data witnesses on two scans at every requested bin size, with
+ingest with detector-to-source unit conversion, and one witness evaluator
+with two front ends: witness_grid, on every pair of two lists of binned
+marginals, and sweep_grid, on two scans at every requested bin size, with
 Monte Carlo standard errors — plus the deliberately naive discrete
 criterion that shows why the corrections matter.
 """
@@ -30,7 +31,6 @@ from .errors import (
     CGWitnessError,
     ConfigurationError,
     ConvergenceError,
-    InvalidPairingError,
     InvalidParameterError,
     NormalizationError,
     ParseError,
@@ -64,16 +64,9 @@ from .stats import (
 )
 from .uncertainty import ErrorModel, sweep_grid
 from .witnesses import (
-    CONTINUOUS_ENTROPIC_BOUND,
     DATA_WITNESS_IDS,
     PAIRINGS,
-    WITNESS_IDS,
-    WitnessReport,
-    coarse_entropic_witness,
-    coarse_variance_witness,
-    entropic_continuous,
-    mgvt_continuous,
-    naive_discrete_witness,
+    witness_grid,
 )
 
 __version__ = "0.1.0"
@@ -86,13 +79,11 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "CountHistogram",
-    "CONTINUOUS_ENTROPIC_BOUND",
     "DATA_WITNESS_IDS",
     "DiscreteDistribution",
     "ErrorModel",
     "GaussianTwoPhotonState",
     "GlobalMarginals",
-    "InvalidPairingError",
     "InvalidParameterError",
     "JointCounts",
     "MarginalSpec",
@@ -102,33 +93,27 @@ __all__ = [
     "ParseError",
     "PropagationError",
     "TruncationError",
-    "WITNESS_IDS",
-    "WitnessReport",
     "bin_mass_oracle",
     "characteristic_solution",
-    "coarse_entropic_witness",
     "coarse_grain",
     "coarse_grained_marginal",
-    "coarse_variance_witness",
     "concentration_eigenvalue",
     "detector_to_source_scale",
     "discrete_entropy",
     "discrete_variance",
     "ensure_matching_geometry",
     "entropic_bound_constant",
-    "entropic_continuous",
     "exact_marginals",
     "global_marginal",
     "histogram_entropy",
     "histogram_variance",
     "load_joint_counts",
-    "mgvt_continuous",
-    "naive_discrete_witness",
     "radial_first_kind",
     "rebin",
     "sample_joint_counts",
     "sample_marginal_counts",
     "save_joint_counts",
     "sweep_grid",
+    "witness_grid",
     "__version__",
 ]

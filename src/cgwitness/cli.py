@@ -32,11 +32,7 @@ from .model import (
     sample_marginal_counts,
 )
 from .uncertainty import ErrorModel, sweep_grid
-from .witnesses import (
-    DATA_WITNESS_IDS,
-    coarse_variance_witness,
-    naive_discrete_witness,
-)
+from .witnesses import DATA_WITNESS_IDS, witness_grid
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
 
@@ -262,26 +258,31 @@ def cmd_demo_false_positive(args) -> int:
         seed_r, seed_s = np.random.SeedSequence(args.seed).spawn(2)
         r = sample_marginal_counts(r_spec, width_r, args.total_counts, seed_r).normalize()
         s = sample_marginal_counts(s_spec, width_s, args.total_counts, seed_s).normalize()
-    naive = naive_discrete_witness(r, s, pairing="pm")
-    corrected = coarse_variance_witness(r, s, pairing="pm")
-    rows = [
-        {
-            "witness_id": rep.witness_id,
-            "pairing": rep.pairing,
-            "width_r": rep.bin_widths[0],
-            "width_s": rep.bin_widths[1],
-            "value": rep.value,
-            "detected": rep.value < 0,
-            "unsafe": rep.unsafe,
-        }
-        for rep in (naive, corrected)
-    ]
+    witness_ids = ("naive_discrete", "coarse_variance")
+    grid = witness_grid([r], [s], witness_ids)
+    rows = []
+    for witness_id in witness_ids:
+        value = float(grid[witness_id][0, 0])
+        rows.append(
+            {
+                "witness_id": witness_id,
+                "pairing": "pm",
+                "width_r": r.grid.width,
+                "width_s": s.grid.width,
+                "value": value,
+                "detected": value < 0,
+                "unsafe": witness_id == "naive_discrete",
+            }
+        )
     columns = ["witness_id", "pairing", "width_r", "width_s", "value", "detected", "unsafe"]
     _emit_rows(rows, columns, args.format, args.output)
     return 0
 
 
 def cmd_bound_table(args) -> int:
+    for flag, value in (("--gamma-min", args.gamma_min), ("--gamma-max", args.gamma_max)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value}")
     if not args.gamma_max > args.gamma_min:
         raise ConfigurationError("--gamma-max must exceed --gamma-min")
     if not 2 <= args.points <= MAX_TABLE_POINTS:

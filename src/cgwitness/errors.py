@@ -13,10 +13,6 @@ class InvalidParameterError(CGWitnessError, ValueError):
     """A scalar argument is outside its documented domain."""
 
 
-class InvalidPairingError(CGWitnessError, ValueError):
-    """Marginals fed to a witness do not match the requested pairing."""
-
-
 class NormalizationError(CGWitnessError, ValueError):
     """A distribution does not sum/integrate to one within tolerance."""
 
@@ -53,7 +49,6 @@ class PropagationError(CGWitnessError, ArithmeticError):
 
 USAGE_ERRORS = (
     InvalidParameterError,
-    InvalidPairingError,
     NormalizationError,
     TruncationError,
     ParseError,

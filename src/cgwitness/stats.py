@@ -7,12 +7,14 @@ variance of one rectangle) and its differential entropy exceeds the
 discrete entropy by ln(width). `corrected_variance` and `corrected_entropy`
 are the one definition of each correction; they broadcast, so the
 single-distribution functions here and the per-replicate arrays of
-cgwitness.uncertainty go through the same code. All entropies are in nats.
+cgwitness.witnesses go through the same code. All entropies are in nats.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ._kernels import batch_entropy, batch_weighted_moments
 from .binning import DiscreteDistribution
@@ -20,7 +22,8 @@ from .binning import DiscreteDistribution
 
 def corrected_variance(variance, width: float):
     """Histogram-density variance from the discrete variance of its masses."""
-    return variance + width**2 / 12.0
+    # numpy's power gives the bits of width**2, but inf instead of OverflowError
+    return variance + np.float64(width) ** 2 / 12.0
 
 
 def corrected_entropy(entropy, width: float):

@@ -20,9 +20,8 @@ errors; a single cell is the 1x1 grid. Every data witness combines one
 statistic of a rebinned position marginal with one of a rebinned momentum
 marginal, so `sweep_grid` resamples and reduces each marginal once per
 (axis, sign, factor), to per-replicate variances and entropies of shape
-(B,), and builds every (n, m, pairing, witness) cell by broadcasting those
-arrays through witnesses.witness_input and witness_value, the definitions
-the single-cell witnesses also use. The point estimate is the B = 1 row of
+(B,), and builds every (n, m, pairing, witness) cell through the core that
+witnesses.witness_grid also uses. The point estimate is the B = 1 row of
 the unperturbed masses. Replicates resample only the occupied bins, which
 is exact: Poisson(0) always draws 0.
 
@@ -43,9 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
-from ._kernels import batch_entropy, batch_weighted_moments
 from .binning import CountHistogram, rebin
-from .bound import entropic_bound_constant
 from .errors import ConfigurationError, InvalidParameterError, PropagationError
 from .ingest import (
     JointCounts,
@@ -56,8 +53,11 @@ from .ingest import (
 from .witnesses import (
     DATA_WITNESS_IDS,
     PAIRINGS,
-    witness_input,
-    witness_value,
+    _combine,
+    _log_bound_table,
+    _MarginalStats,
+    _needs,
+    _reduce,
 )
 
 _AXIS_INDEX = {"position": 0, "momentum": 1}
@@ -117,44 +117,6 @@ class ErrorModel:
         )
 
 
-@dataclass(frozen=True)
-class _MarginalStats:
-    """Statistics of one rebinned marginal, one entry per replicate.
-
-    kept marks the replicates whose counts drew a positive total. variance
-    (discrete, over the bin centers) and entropy (discrete, in nats) are NaN
-    where kept is False, and None when no requested witness needs them.
-    """
-
-    width: float
-    kept: np.ndarray
-    variance: np.ndarray | None
-    entropy: np.ndarray | None
-
-
-def _reduce(
-    width: float,
-    weights: np.ndarray,
-    centers: np.ndarray,
-    need_variance: bool,
-    need_entropy: bool,
-) -> _MarginalStats:
-    """Statistics of each row of weights (B, K) over centers, (K,) or (B, K)."""
-    kept = weights.sum(axis=1) > 0
-    if not kept.all():
-        weights = weights[kept]
-        if centers.ndim == 2:
-            centers = centers[kept]
-    variance = entropy = None
-    if need_variance:
-        variance = np.full(kept.shape, np.nan)
-        variance[kept] = batch_weighted_moments(weights, centers)[1]
-    if need_entropy:
-        entropy = np.full(kept.shape, np.nan)
-        entropy[kept] = batch_entropy(weights)
-    return _MarginalStats(width, kept, variance, entropy)
-
-
 def _stream(root: SeedSequence, key: tuple) -> Generator:
     return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
 
@@ -210,32 +172,27 @@ def sweep_grid(
     an error model; otherwise it is the ddof=1 standard deviation of the
     witness over the replicates in which both marginals drew a positive
     total. A cell that discards more than 10% of its replicates, or keeps
-    fewer than 2, raises PropagationError. Swapped scans, scans of two
-    geometries, a pairing outside PAIRINGS or a witness_id outside
-    DATA_WITNESS_IDS raise ConfigurationError; an even or non-positive
-    factor raises InvalidParameterError (from binning.rebin).
-    Deterministic for a fixed ErrorModel.seed.
+    fewer than 2, raises PropagationError. An empty n_list or m_list,
+    swapped scans, scans of two geometries, a pairing outside PAIRINGS or a
+    witness_id outside DATA_WITNESS_IDS raise ConfigurationError; an even
+    or non-positive factor raises InvalidParameterError (from
+    binning.rebin). Deterministic for a fixed ErrorModel.seed.
     """
     if position.variable_pair != "position":
         raise ConfigurationError("first scan must have variable_pair=position")
     if momentum.variable_pair != "momentum":
         raise ConfigurationError("second scan must have variable_pair=momentum")
     ensure_matching_geometry(position, momentum)
+    if len(n_list) == 0 or len(m_list) == 0:
+        raise ConfigurationError("n_list and m_list must not be empty")
     for pairing in pairings:
         if pairing not in PAIRINGS:
             raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
-    for witness_id in witness_ids:
-        if witness_id not in DATA_WITNESS_IDS:
-            raise ConfigurationError(
-                f"witness {witness_id!r} cannot be evaluated from count data; "
-                f"choose from {','.join(DATA_WITNESS_IDS)}"
-            )
+    need_variance, need_entropy = _needs(witness_ids)
     em = error_model
     root = None
     if em is not None:
         root = SeedSequence(em.seed)
-    need_variance = any(w != "coarse_entropic" for w in witness_ids)
-    need_entropy = "coarse_entropic" in witness_ids
 
     def marginal_stats(jc: JointCounts, sign: str, factors):
         base = global_marginal(jc, sign)
@@ -257,11 +214,6 @@ def sweep_grid(
                 )
         return points, replicates
 
-    def stacked(stats, witness_id):
-        return np.stack(
-            [witness_input(witness_id, st.width, st.variance, st.entropy) for st in stats]
-        )
-
     log_bound = None
     out = {}
     for pairing in pairings:
@@ -270,11 +222,9 @@ def sweep_grid(
         r_point, r_reps = marginal_stats(position, sign_r, n_list)
         s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
         if need_entropy and log_bound is None:
-            # one bound evaluation per distinct width product
-            products = np.array([[r.width * s.width for s in s_point] for r in r_point])
-            distinct, inverse = np.unique(products.ravel(), return_inverse=True)
-            logs = np.array([math.log(entropic_bound_constant(g)) for g in distinct])
-            log_bound = logs[inverse].reshape(products.shape)[:, :, None]
+            # a marginal's width depends on its scan, not its diagonal sign,
+            # so one table serves both pairings
+            log_bound = _log_bound_table([st.width for st in r_point], [st.width for st in s_point])
         if em is not None:
             keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
                 [st.kept for st in s_reps]
@@ -290,22 +240,10 @@ def sweep_grid(
             if em.replicates - discarded[i, j] < 2:
                 raise PropagationError("fewer than 2 usable replicates")
         for witness_id in witness_ids:
-            lb = log_bound if witness_id == "coarse_entropic" else None
-            values = witness_value(
-                witness_id,
-                stacked(r_point, witness_id)[:, None, :],
-                stacked(s_point, witness_id)[None, :, :],
-                lb,
-            )[:, :, 0]
+            values = _combine(witness_id, r_point, s_point, log_bound)[:, :, 0]
             uncertainties = None
             if em is not None:
-                replicate_values = witness_value(
-                    witness_id,
-                    stacked(r_reps, witness_id)[:, None, :],
-                    stacked(s_reps, witness_id)[None, :, :],
-                    lb,
-                )
-                uncertainties = _kept_std(replicate_values, keep)
+                uncertainties = _kept_std(_combine(witness_id, r_reps, s_reps, log_bound), keep)
             out[pairing, witness_id] = (values, uncertainties)
     return out
 

@@ -81,8 +81,9 @@ def test_criterion_3_continuous_limit():
     gm = cg.exact_marginals(cg.GaussianTwoPhotonState(2.0, 0.5))
     r = cg.coarse_grained_marginal(gm.x_plus, 1e-2 * gm.x_plus.std)
     s = cg.coarse_grained_marginal(gm.p_minus, 1e-2 * gm.p_minus.std)
-    v = cg.coarse_variance_witness(r, s).value
-    e = cg.coarse_entropic_witness(r, s).value
+    grid = cg.witness_grid([r], [s], ("coarse_variance", "coarse_entropic"))
+    v = float(grid["coarse_variance"][0, 0])
+    e = float(grid["coarse_entropic"][0, 0])
     ok = abs(v / (-15.0 / 16.0) - 1.0) < 1e-3 and abs(e / (-math.log(4.0)) - 1.0) < 1e-3
     assert _report(
         3, ok, f"widths at 1e-2 std give {v:.6f} vs -15/16 and {e:.6f} vs -ln 4"
@@ -101,12 +102,10 @@ def test_criterion_4_no_false_positives_on_separable_states():
         s_side = [
             cg.coarse_grained_marginal(gm.p_minus, t * gm.p_minus.std) for t in factors
         ]
-        for r in r_side:
-            for s in s_side:
-                v = cg.coarse_variance_witness(r, s).value
-                e = cg.coarse_entropic_witness(r, s).value
-                worst = min(worst, v, e)
-                cells += 2
+        grid = cg.witness_grid(r_side, s_side, ("coarse_variance", "coarse_entropic"))
+        for values in grid.values():
+            worst = min(worst, float(values.min()))
+            cells += values.size
     ok = worst >= 0.0 and cells == 3 * 12 * 12 * 2
     assert _report(
         4, ok, f"{cells} separable cells evaluated; smallest margin {worst:+.3e}"
@@ -119,14 +118,15 @@ def test_criterion_5_false_positive_demonstration():
     gm = cg.exact_marginals(cg.GaussianTwoPhotonState(1.0, 1.0))
     r = cg.coarse_grained_marginal(gm.x_plus, 2 * 3.0 * gm.x_plus.std)
     s = cg.coarse_grained_marginal(gm.p_minus, 2 * 3.0 * gm.p_minus.std)
-    naive = cg.naive_discrete_witness(r, s)
-    coarse = cg.coarse_variance_witness(r, s)
-    ok = naive.value < 0.0 and coarse.value >= 0.0 and naive.unsafe
+    grid = cg.witness_grid([r], [s], ("naive_discrete", "coarse_variance"))
+    naive = float(grid["naive_discrete"][0, 0])
+    coarse = float(grid["coarse_variance"][0, 0])
+    ok = naive < 0.0 and coarse >= 0.0
     assert _report(
         5,
         ok,
-        f"separable state: naive {naive.value:+.4f} (false positive), "
-        f"corrected {coarse.value:+.4f}",
+        f"separable state: naive {naive:+.4f} (false positive), "
+        f"corrected {coarse:+.4f}",
     )
 
 

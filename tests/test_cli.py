@@ -153,12 +153,7 @@ class TestSweep:
         assert all("coarse_entropic" in l for l in body)
 
     def test_point_values_match_single_cell_witnesses(self, tmp_path):
-        from cgwitness import (
-            coarse_entropic_witness,
-            coarse_variance_witness,
-            load_joint_counts,
-            naive_discrete_witness,
-        )
+        from cgwitness import load_joint_counts, witness_grid
 
         pos, mom = _simulate(tmp_path)
         out_file = tmp_path / "sweep.json"
@@ -172,13 +167,8 @@ class TestSweep:
         for row in rows:
             marginals = rebinned_marginals(position, momentum, row["pairing"], row["n"], row["m"])
             r, s = (h.normalize() for h in marginals)
-            if row["witness_id"] == "coarse_entropic":
-                want = coarse_entropic_witness(r, s, pairing=row["pairing"])
-            elif row["witness_id"] == "coarse_variance":
-                want = coarse_variance_witness(r, s, pairing=row["pairing"])
-            else:
-                want = naive_discrete_witness(r, s, pairing=row["pairing"])
-            assert "%.12g" % row["value"] == "%.12g" % want.value, row
+            want = witness_grid([r], [s], (row["witness_id"],))[row["witness_id"]][0, 0]
+            assert "%.12g" % row["value"] == "%.12g" % want, row
 
     def test_entropic_uncertainty_independent_of_other_witnesses(self, tmp_path):
         pos, mom = _simulate(tmp_path)
@@ -385,6 +375,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--multiplier" in proc.stderr
+
+    @pytest.mark.parametrize("multiplier", ["1e150", "1e200"])
+    def test_overflowing_multiplier_exits_2_without_traceback(self, multiplier):
+        # bins this wide overflow the corrected variances to inf
+        proc = _run_cli("demo-false-positive", "--analytic", "--multiplier", multiplier)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: witness value must be finite, got inf\n"
+
+    @pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max"])
+    def test_infinite_gamma_exits_2_without_warning(self, flag):
+        proc = _run_cli("bound-table", flag, "inf")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {flag} must be finite, got inf\n"
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import cgwitness
@@ -9,18 +10,12 @@ from cgwitness import (
     ErrorModel,
     GaussianTwoPhotonState,
     GlobalMarginals,
-    WitnessReport,
-    coarse_entropic_witness,
     coarse_grained_marginal,
-    coarse_variance_witness,
-    entropic_continuous,
-    mgvt_continuous,
-    naive_discrete_witness,
     sample_marginal_counts,
 )
-from cgwitness.cli import build_parser
+from cgwitness.cli import build_parser, main
 
-#: Names the package no longer exports; nothing in the package called them.
+#: Names the package no longer exports; no caller in the package remains.
 REMOVED = (
     "HistogramDensity",
     "histogram_density",
@@ -32,15 +27,19 @@ REMOVED = (
     "branch_switch_gamma",
     "WitnessPipeline",
     "propagate",
+    "WitnessReport",
+    "coarse_variance_witness",
+    "coarse_entropic_witness",
+    "naive_discrete_witness",
+    "mgvt_continuous",
+    "entropic_continuous",
+    "WITNESS_IDS",
+    "CONTINUOUS_ENTROPIC_BOUND",
+    "InvalidPairingError",
 )
 
 #: Keywords the functions no longer take; no caller outside their own tests set them.
 REMOVED_PARAMETERS = (
-    (mgvt_continuous, ("uncertainty",)),
-    (entropic_continuous, ("uncertainty",)),
-    (coarse_variance_witness, ("variable_r", "variable_s", "uncertainty")),
-    (coarse_entropic_witness, ("variable_r", "variable_s", "uncertainty")),
-    (naive_discrete_witness, ("variable_r", "variable_s", "uncertainty")),
     (coarse_grained_marginal, ("span_sigmas", "min_captured")),
     (sample_marginal_counts, ("span_sigmas", "min_captured")),
 )
@@ -80,14 +79,15 @@ class TestPublicSurface:
             assert not hasattr(BinGrid, attr), attr
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
         assert not hasattr(GlobalMarginals, "by_name")
+        assert not hasattr(cgwitness.errors, "InvalidPairingError")
 
     def test_sweep_grid_is_exported(self):
         assert "sweep_grid" in cgwitness.__all__
+        assert "witness_grid" in cgwitness.__all__
 
     def test_removed_parameters_are_gone(self):
         fields = tuple(f.name for f in dataclasses.fields(ErrorModel))
         assert fields == ("center_jitter", "replicates", "seed")
-        assert "uncertainty" not in {f.name for f in dataclasses.fields(WitnessReport)}
         demo = vars(build_parser().parse_args(["demo-false-positive"]))
         assert "sigma" in demo
         assert not {"sigma_plus", "sigma_minus"} & set(demo)
@@ -107,3 +107,16 @@ class TestImports:
             if (names := _unused_imports(path))
         }
         assert found == {}
+
+
+class TestReadme:
+    def test_python_examples_run(self, tmp_path, monkeypatch):
+        # the examples read scan_position.txt and scan_momentum.txt from the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--total-counts", "1e5"]) == 0
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), namespace)

@@ -15,6 +15,7 @@ from cgwitness import (
     histogram_entropy,
     histogram_variance,
     radial_first_kind,
+    witness_grid,
 )
 from cgwitness.binning import BinGrid, CountHistogram, DiscreteDistribution, rebin
 from cgwitness.bound import SERIES_TAIL_SWITCH
@@ -72,6 +73,45 @@ class TestCorrectionIdentities:
     def test_discrete_entropy_nonnegative_and_bounded(self, d):
         h = discrete_entropy(d)
         assert -1e-12 <= h <= math.log(d.grid.n_bins) + 1e-12
+
+
+def _reference_inputs(d):
+    """(variance, entropy, ln width) of d in plain numpy, two-pass variance."""
+    q, x = d.masses, d.grid.centers
+    mean = (q * x).sum() / q.sum()
+    variance = (q * (x - mean) ** 2).sum() / q.sum()
+    entropy = -(q[q > 0] * np.log(q[q > 0])).sum()
+    return variance, entropy, math.log(d.grid.width)
+
+
+def _reference_value(witness_id, r, s):
+    """(value, scale) of one witness; scale is the size of the terms the value sums."""
+    (var_r, h_r, lw_r), (var_s, h_s, lw_s) = _reference_inputs(r), _reference_inputs(s)
+    if witness_id == "coarse_entropic":
+        terms = (h_r, lw_r, h_s, lw_s, math.log(entropic_bound_constant(r.grid.width * s.grid.width)))
+        return sum(terms), sum(abs(x) for x in terms)
+    if witness_id == "coarse_variance":
+        var_r += r.grid.width**2 / 12.0
+        var_s += s.grid.width**2 / 12.0
+    return var_r * var_s - 1.0, var_r * var_s + 1.0
+
+
+class TestWitnessGridProperties:
+    @given(
+        st.lists(discrete_distributions(), min_size=1, max_size=3),
+        st.lists(discrete_distributions(), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cells_match_reference_and_one_cell_grids(self, rs, ss):
+        grid = witness_grid(rs, ss)
+        for witness_id, values in grid.items():
+            assert values.shape == (len(rs), len(ss))
+            for i, r in enumerate(rs):
+                for j, s in enumerate(ss):
+                    want, scale = _reference_value(witness_id, r, s)
+                    assert abs(values[i, j] - want) <= 1e-12 * scale, (witness_id, i, j)
+                    one = witness_grid([r], [s], (witness_id,))[witness_id]
+                    assert values[i, j] == one[0, 0], (witness_id, i, j)
 
 
 class TestRebinProperties:

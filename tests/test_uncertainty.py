@@ -7,11 +7,9 @@ from cgwitness import (
     ErrorModel,
     GaussianTwoPhotonState,
     JointCounts,
-    coarse_entropic_witness,
-    coarse_variance_witness,
     entropic_bound_constant,
-    naive_discrete_witness,
     sample_joint_counts,
+    witness_grid,
 )
 from cgwitness.cli import DEFAULT_FACTORS
 from cgwitness.errors import (
@@ -19,7 +17,7 @@ from cgwitness.errors import (
     InvalidParameterError,
     PropagationError,
 )
-from cgwitness import uncertainty
+from cgwitness import witnesses
 from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
 from conftest import rebinned_marginals
 
@@ -84,6 +82,11 @@ def _one_cell(pos, mom, witness_id, n, m, error_model=None, pairing="pm"):
     return values[0, 0], None if unc is None else unc[0, 0]
 
 
+def _cell_of_marginals(r, s, witness_id):
+    """witness_grid's 1x1 value on two rebinned count marginals, normalised."""
+    return witness_grid([r.normalize()], [s.normalize()], (witness_id,))[witness_id][0, 0]
+
+
 class TestWitnessPipeline:
     """From two scans to a witness value: what sweep_grid refuses and which diagonals it takes."""
 
@@ -97,6 +100,13 @@ class TestWitnessPipeline:
         with pytest.raises(InvalidParameterError):
             sweep_grid(*scans, [1], [0])
 
+    @pytest.mark.parametrize(
+        "n_list,m_list", [([], [1]), ([1], []), ([], [])], ids=["n", "m", "both"]
+    )
+    def test_rejects_empty_factor_lists(self, scans, n_list, m_list):
+        with pytest.raises(ConfigurationError, match="must not be empty"):
+            sweep_grid(*scans, n_list, m_list)
+
     def test_rejects_swapped_scan_files(self, scans):
         pos, mom = scans
         with pytest.raises(ConfigurationError):
@@ -105,7 +115,7 @@ class TestWitnessPipeline:
     def test_evaluate_matches_manual_rebin(self, scans):
         pos, mom = scans
         r, s = rebinned_marginals(pos, mom, "pm", 3, 1)
-        manual = coarse_variance_witness(r.normalize(), s.normalize()).value
+        manual = _cell_of_marginals(r, s, "coarse_variance")
         value, _ = _one_cell(pos, mom, "coarse_variance", 3, 1)
         assert value == pytest.approx(manual, rel=1e-12)
 
@@ -124,7 +134,7 @@ class TestPropagate:
         em = ErrorModel(replicates=150, seed=5)
         value, unc = _one_cell(pos, mom, "coarse_variance", 3, 3, em)
         r, s = rebinned_marginals(pos, mom, "pm", 3, 3)
-        want = coarse_variance_witness(r.normalize(), s.normalize()).value
+        want = _cell_of_marginals(r, s, "coarse_variance")
         assert value == pytest.approx(want, rel=1e-12)
         assert unc > 0.0
 
@@ -268,7 +278,7 @@ class TestSweepGrid:
             calls.append(g)
             return entropic_bound_constant(g)
 
-        monkeypatch.setattr(uncertainty, "entropic_bound_constant", counted)
+        monkeypatch.setattr(witnesses, "entropic_bound_constant", counted)
         pos, mom = scans
         factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
         sweep_grid(pos, mom, factors, factors, witness_ids=("coarse_entropic",))
@@ -276,13 +286,9 @@ class TestSweepGrid:
         assert len(calls) == len(set(calls)) == 88
 
     def test_values_match_single_cell_witnesses(self, scans):
-        # the single-cell witnesses are the B = 1 case of the batched
-        # formulas, so every cell of the default grid agrees bit for bit
-        witness = {
-            "coarse_variance": coarse_variance_witness,
-            "coarse_entropic": coarse_entropic_witness,
-            "naive_discrete": naive_discrete_witness,
-        }
+        # sweep_grid's point estimate and witness_grid share one core, so
+        # every cell of the default grid equals the 1x1 witness_grid on its
+        # rebinned, normalised marginals bit for bit
         pos, mom = scans
         factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
         grid = sweep_grid(pos, mom, factors, factors)
@@ -292,7 +298,7 @@ class TestSweepGrid:
             for i, n in enumerate(factors):
                 for j, m in enumerate(factors):
                     r, s = rebinned_marginals(pos, mom, pairing, n, m)
-                    want = witness[witness_id](r.normalize(), s.normalize(), pairing=pairing).value
+                    want = _cell_of_marginals(r, s, witness_id)
                     assert values[i, j] == want, (pairing, witness_id, n, m)
 
     def test_one_cell_grid_matches_larger_grid(self, scans):

@@ -3,24 +3,18 @@ import math
 import pytest
 
 from cgwitness import (
-    CONTINUOUS_ENTROPIC_BOUND,
     DATA_WITNESS_IDS,
     PAIRINGS,
-    WITNESS_IDS,
     GaussianTwoPhotonState,
-    WitnessReport,
-    coarse_entropic_witness,
     coarse_grained_marginal,
-    coarse_variance_witness,
     discrete_entropy,
     discrete_variance,
     entropic_bound_constant,
-    entropic_continuous,
     exact_marginals,
-    mgvt_continuous,
-    naive_discrete_witness,
+    witness_grid,
 )
-from cgwitness.errors import InvalidPairingError, InvalidParameterError
+from cgwitness.cli import main
+from cgwitness.errors import ConfigurationError, InvalidParameterError
 
 
 def _pm_inputs(width_r, width_s, sigma_plus=2.0, sigma_minus=0.5):
@@ -30,74 +24,40 @@ def _pm_inputs(width_r, width_s, sigma_plus=2.0, sigma_minus=0.5):
     return r, s
 
 
+def _cell(r, s, witness_id):
+    """The value of one witness on one pair of marginals: the 1x1 grid."""
+    return float(witness_grid([r], [s], (witness_id,))[witness_id][0, 0])
+
+
 class TestWitnessReport:
-    def test_detected_is_strict_negativity(self):
-        rep = mgvt_continuous(0.5, 0.5)
-        assert rep.value == pytest.approx(-0.75)
-        assert rep.detected
-        assert not mgvt_continuous(1.0, 1.0).detected
+    """What the witness layer reports: its registry, refusals and unsafe flag."""
 
     def test_registry_contents(self):
-        assert set(DATA_WITNESS_IDS) == {
-            "coarse_variance",
-            "coarse_entropic",
-            "naive_discrete",
-        }
-        assert set(DATA_WITNESS_IDS) < set(WITNESS_IDS)
+        assert DATA_WITNESS_IDS == ("coarse_variance", "coarse_entropic", "naive_discrete")
         assert PAIRINGS["pm"] == ("x+", "p-")
         assert PAIRINGS["mp"] == ("x-", "p+")
 
     def test_invalid_ids_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            WitnessReport(
-                witness_id="bogus", pairing="pm", value=0.0, inputs_summary={}
-            )
-        with pytest.raises(InvalidPairingError):
-            WitnessReport(
-                witness_id="mgvt_continuous",
-                pairing="xx",
-                value=0.0,
-                inputs_summary={},
-            )
+        r, s = _pm_inputs(0.3, 0.2)
+        for witness_id in ("bogus", "mgvt_continuous", "entropic_continuous"):
+            with pytest.raises(ConfigurationError, match="cannot be evaluated"):
+                witness_grid([r], [s], (witness_id,))
 
-    def test_naive_is_always_flagged_unsafe(self):
-        r, s = _pm_inputs(0.1, 0.1)
-        assert naive_discrete_witness(r, s).unsafe
-        assert not coarse_variance_witness(r, s).unsafe
-        assert not coarse_entropic_witness(r, s).unsafe
-
-
-class TestContinuousWitnesses:
-    def test_mgvt_anchor(self):
-        gm = exact_marginals(GaussianTwoPhotonState(2.0, 0.5))
-        rep = mgvt_continuous(gm.x_plus.std**2, gm.p_minus.std**2)
-        assert rep.value == pytest.approx(-15.0 / 16.0, rel=1e-12)
-
-    def test_entropic_anchor(self):
-        gm = exact_marginals(GaussianTwoPhotonState(2.0, 0.5))
-        h = lambda s: 0.5 * math.log(2 * math.pi * math.e * s * s)
-        rep = entropic_continuous(h(gm.x_plus.std), h(gm.p_minus.std))
-        assert rep.value == pytest.approx(-math.log(4.0), rel=1e-12)
-        assert CONTINUOUS_ENTROPIC_BOUND == pytest.approx(math.log(2 * math.pi * math.e))
-
-    def test_separable_states_stay_nonnegative(self):
-        gm = exact_marginals(GaussianTwoPhotonState(1.3, 1.3))
-        assert mgvt_continuous(gm.x_plus.std**2, gm.p_minus.std**2).value >= 0.0
-
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(InvalidParameterError):
-            mgvt_continuous(0.0, 1.0)
+    def test_naive_is_always_flagged_unsafe(self, capsys):
+        # at fine bins no row is detected, and only the naive row is unsafe
+        assert main(["demo-false-positive", "--multiplier", "0.1", "--analytic"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert {row[0]: (row[5], row[6]) for row in rows} == {
+            "naive_discrete": ("false", "true"),
+            "coarse_variance": ("false", "false"),
+        }
 
 
 class TestCoarseWitnesses:
     def test_fine_bins_approach_continuous_values(self):
         r, s = _pm_inputs(0.005, 0.005)
-        assert coarse_variance_witness(r, s).value == pytest.approx(
-            -15.0 / 16.0, rel=1e-3
-        )
-        assert coarse_entropic_witness(r, s).value == pytest.approx(
-            -math.log(4.0), rel=1e-3
-        )
+        assert _cell(r, s, "coarse_variance") == pytest.approx(-15.0 / 16.0, rel=1e-3)
+        assert _cell(r, s, "coarse_entropic") == pytest.approx(-math.log(4.0), rel=1e-3)
 
     def test_variance_witness_formula(self):
         r, s = _pm_inputs(0.3, 0.2)
@@ -105,9 +65,7 @@ class TestCoarseWitnesses:
         want = (discrete_variance(r) + wr * wr / 12.0) * (
             discrete_variance(s) + ws * ws / 12.0
         ) - 1.0
-        rep = coarse_variance_witness(r, s)
-        assert rep.value == pytest.approx(want, rel=1e-12)
-        assert rep.bin_widths == (wr, ws)
+        assert _cell(r, s, "coarse_variance") == pytest.approx(want, rel=1e-12)
 
     def test_entropic_witness_formula(self):
         r, s = _pm_inputs(0.3, 0.2)
@@ -117,36 +75,39 @@ class TestCoarseWitnesses:
             + (discrete_entropy(s) + math.log(ws))
             + math.log(entropic_bound_constant(wr * ws))
         )
-        assert coarse_entropic_witness(r, s).value == pytest.approx(want, rel=1e-12)
+        assert _cell(r, s, "coarse_entropic") == pytest.approx(want, rel=1e-12)
 
     def test_naive_witness_formula_and_identity(self):
         r, s = _pm_inputs(0.3, 0.2)
-        naive = naive_discrete_witness(r, s)
-        assert naive.value == pytest.approx(
+        naive = _cell(r, s, "naive_discrete")
+        assert naive == pytest.approx(
             discrete_variance(r) * discrete_variance(s) - 1.0, rel=1e-12
         )
         wr, ws = r.grid.width, s.grid.width
-        coarse = coarse_variance_witness(r, s)
         reconstructed = (
-            (naive.value + 1.0)
+            (naive + 1.0)
             + discrete_variance(r) * ws * ws / 12.0
             + discrete_variance(s) * wr * wr / 12.0
             + wr * wr * ws * ws / 144.0
         ) - 1.0
-        assert coarse.value == pytest.approx(reconstructed, rel=1e-12)
+        assert _cell(r, s, "coarse_variance") == pytest.approx(reconstructed, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "witness", [coarse_variance_witness, coarse_entropic_witness, naive_discrete_witness]
-    )
-    def test_non_distribution_rejected(self, witness):
+    @pytest.mark.parametrize("witness_id", DATA_WITNESS_IDS)
+    def test_non_distribution_rejected(self, witness_id):
         r, s = _pm_inputs(0.3, 0.2)
         with pytest.raises(InvalidParameterError, match="DiscreteDistribution"):
-            witness(r, s.masses)
+            witness_grid([r], [s.masses], (witness_id,))
         with pytest.raises(InvalidParameterError, match="DiscreteDistribution"):
-            witness(None, s)
+            witness_grid([None], [s], (witness_id,))
+
+    def test_empty_side_rejected(self):
+        r, s = _pm_inputs(0.3, 0.2)
+        for sides in (([], [s]), ([r], []), ([], [])):
+            with pytest.raises(ConfigurationError, match="at least one marginal"):
+                witness_grid(*sides)
 
     def test_separable_coarse_witnesses_nonnegative_spotcheck(self):
         for width in (0.05, 0.5, 2.0, 5.0):
             r, s = _pm_inputs(width, width, sigma_plus=1.0, sigma_minus=1.0)
-            assert coarse_variance_witness(r, s).value >= 0.0
-            assert coarse_entropic_witness(r, s).value >= 0.0
+            assert _cell(r, s, "coarse_variance") >= 0.0
+            assert _cell(r, s, "coarse_entropic") >= 0.0
