@@ -6,10 +6,11 @@ variance-product and entropy-sum criteria on sum/difference marginals
 (with the band-limiting bound constant behind the entropic one), the
 Gaussian pair-state model used to synthesize and cross-check data, scan
 ingest with detector-to-source unit conversion, and one witness evaluator
-with two front ends: witness_grid, on every pair of two lists of binned
-marginals, and sweep_grid, on two scans at every requested bin size, with
-Monte Carlo standard errors — plus the deliberately naive discrete
-criterion that shows why the corrections matter.
+(cgwitness.witnesses) with two front ends: witness_grid, on every pair of
+two lists of binned marginals, and sweep_grid, on two scans at every
+requested bin size, with Monte Carlo standard errors — plus the
+deliberately naive discrete criterion that shows why the corrections
+matter.
 """
 
 from .binning import (
@@ -56,16 +57,15 @@ from .model import (
     sample_joint_counts,
     sample_marginal_counts,
 )
-from .stats import (
+from .witnesses import (
+    DATA_WITNESS_IDS,
+    PAIRINGS,
+    ErrorModel,
     discrete_entropy,
     discrete_variance,
     histogram_entropy,
     histogram_variance,
-)
-from .uncertainty import ErrorModel, sweep_grid
-from .witnesses import (
-    DATA_WITNESS_IDS,
-    PAIRINGS,
+    sweep_grid,
     witness_grid,
 )
 

@@ -21,6 +21,9 @@ MASS_TOLERANCE = 1e-9
 #: Largest count, and largest total of a count array: counts are int64.
 MAX_COUNT = int(np.iinfo(np.int64).max)
 
+#: Largest rebin factor: bin indices are int64.
+MAX_FACTOR = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class BinGrid:
@@ -203,7 +206,7 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
 
     Args:
         h: CountHistogram.
-        factor: odd positive merge factor.
+        factor: odd positive merge factor, at most MAX_FACTOR.
 
     Returns:
         A CountHistogram on a grid of width factor * width.
@@ -214,6 +217,8 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
         raise InvalidParameterError(
             f"rebin factor must be an odd positive integer, got {factor!r}"
         )
+    if factor > MAX_FACTOR:
+        raise InvalidParameterError(f"rebin factor must be at most {MAX_FACTOR}, got {factor}")
     if factor == 1:
         return h
     half = (factor - 1) // 2

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binning import MAX_FACTOR
 from .bound import entropic_bound_constant
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError
 from .ingest import (
@@ -31,16 +32,12 @@ from .model import (
     sample_joint_counts,
     sample_marginal_counts,
 )
-from .uncertainty import ErrorModel, sweep_grid
-from .witnesses import DATA_WITNESS_IDS, witness_grid
+from .witnesses import DATA_WITNESS_IDS, ErrorModel, sweep_grid, witness_grid
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
 
 #: Largest marginal grid demo-false-positive builds: ~70 MB and ~0.7 s of work.
 MAX_DEMO_BINS = 1_000_000
-
-#: Largest rebin factor: bin indices are int64.
-MAX_FACTOR = int(np.iinfo(np.int64).max)
 
 #: Largest bound-table: up to ~1.3 ms per value (the series route near gamma = 112),
 #: so at most ~2 minutes of work.

@@ -49,6 +49,10 @@ def _check_total(total_expected_counts: float) -> None:
 
 def _rng_from(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
+        if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise InvalidParameterError(
+                f"seed must be a non-negative integer or None, got {seed!r}"
+            )
         seed = np.random.SeedSequence(seed)
     return np.random.default_rng(seed)
 
@@ -160,7 +164,8 @@ def sample_marginal_counts(
 ) -> CountHistogram:
     """Poisson-draw a binned marginal directly (no joint table).
 
-    Counts in bin k are independent Poisson with mean total * mass_k.
+    Counts in bin k are independent Poisson with mean total * mass_k. seed
+    is a non-negative integer, a numpy.random.SeedSequence, or None.
     """
     _check_total(total_expected_counts)
     d = coarse_grained_marginal(m, width)
@@ -227,7 +232,8 @@ def sample_joint_counts(
         geometry: optics defining the base bin width for this scan.
         variable_pair: "position" or "momentum".
         total_expected_counts: expected total over the whole table.
-        seed: anything accepted by numpy.random.SeedSequence.
+        seed: a non-negative integer, a numpy.random.SeedSequence, or None
+            for fresh entropy.
 
     Returns:
         JointCounts with a centered (2N+1) x (2N+1) count matrix.

@@ -1,21 +1,56 @@
-"""Entanglement witnesses on binned global-variable marginals.
+"""Entanglement witnesses on binned global-variable marginals, with their errors.
 
 Every witness value is (left-hand side minus bound), so a negative value
-certifies entanglement regardless of which criterion produced it. The two
-coarse-grained criteria take binned marginals at ANY bin widths and stay
-nonnegative on separable states by construction (the variance one via the
-histogram corrections, the entropic one via the band-limiting bound
-constant). The naive discrete criterion applies the continuous variance
+certifies entanglement regardless of which criterion produced it. For a
+position marginal r and a momentum marginal s with bin widths w_r, w_s,
+discrete variances V (of the bin masses over the bin centers) and discrete
+entropies H (in nats):
+
+    coarse_variance = (V_r + w_r^2/12) * (V_s + w_s^2/12) - 1
+    coarse_entropic = (H_r + ln w_r) + (H_s + ln w_s) + ln C(w_r * w_s)
+    naive_discrete  = V_r * V_s - 1
+
+with C the band-limiting bound constant (bound.entropic_bound_constant).
+The two coarse-grained criteria take binned marginals at ANY bin widths and
+stay nonnegative on separable states by construction. Their width
+corrections are two exact identities: the piecewise-constant density built
+from the bin masses has variance V + width^2/12 (the variance of one
+rectangle) and differential entropy H + ln(width). `corrected_variance` and
+`corrected_entropy` are the one definition of each; they broadcast over
+replicates. The naive discrete criterion applies the continuous variance
 bound to uncorrected discrete variances — it is deliberately included as
 the cautionary counterexample and is unsafe: with bins a few standard
 deviations wide it reports entanglement for product states.
 
 `witness_grid` evaluates the data witnesses on every pair of two lists of
-binned marginals; a single cell is the 1x1 grid. It and
-uncertainty.sweep_grid share one core: each marginal is reduced once to
-(B,) variances and entropies (`_reduce`), ln C(gamma) is tabulated once per
-distinct width product (`_log_bound_table`), and `_combine`, the one
-definition of each witness formula, broadcasts them over (R, S, B).
+binned marginals, and `sweep_grid` on two scans at every requested pair of
+rebin factors; a single cell is the 1x1 grid. Both go through one core:
+each marginal is reduced once to (B,) variances and entropies (`_reduce`;
+the point estimate is the B = 1 row of its exact masses, `_point_stats`),
+ln C is tabulated once per distinct width product (`_log_bound_table`),
+and `_combine`, the one definition of each witness formula, broadcasts
+them over (R, S, B).
+
+Errors. Counts fluctuate Poisson-wise and the slit micrometers place each
+bin center only to finite precision, so `sweep_grid` with an ErrorModel
+attaches a standard error to every value: the ddof=1 standard deviation of
+the witness over replicates that each resample the occupied bins of both
+marginals (exact: Poisson(0) always draws 0) and, with center_jitter, move
+every bin center by an independent Gaussian error. Jitter enters the
+moments only (the coordinates move, the widths do not), so entropic
+uncertainties are Poisson-only. The micrometer-step model for the center
+errors, at rebin factors (n, m):
+
+    sigma_position(n) = step * sqrt(2) * n * (f1/f2)
+    sigma_momentum(m) = step * sqrt(2) * (2*m*pi / (f3*lambda))
+
+Random streams: the marginal of scan axis a (0 position, 1 momentum),
+diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
+from SeedSequence(seed, spawn_key=(a, s, f, 0)) and its center jitter from
+spawn key (a, s, f, 1), where seed is ErrorModel.seed. The counts
+therefore do not depend on the jitter settings, jitter is drawn only when a
+variance witness is requested, and a cell's uncertainty does not depend on
+which other cells are swept.
 """
 
 from __future__ import annotations
@@ -24,18 +59,41 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 from ._kernels import batch_entropy, batch_weighted_moments
-from .binning import DiscreteDistribution
+from .binning import DiscreteDistribution, rebin
 from .bound import entropic_bound_constant
-from .errors import ConfigurationError, InvalidParameterError
-from .stats import corrected_entropy, corrected_variance
+from .errors import ConfigurationError, InvalidParameterError, PropagationError
+from .ingest import JointCounts, ensure_matching_geometry, global_marginal
 
 #: Witnesses that can be evaluated from binned count data alone.
 DATA_WITNESS_IDS = ("coarse_variance", "coarse_entropic", "naive_discrete")
 
 #: pairing token -> (first variable, second variable)
 PAIRINGS = {"pm": ("x+", "p-"), "mp": ("x-", "p+")}
+
+_AXIS_INDEX = {"position": 0, "momentum": 1}
+_SIGN_INDEX = {"+": 0, "-": 1}
+_COUNTS_STREAM, _JITTER_STREAM = 0, 1
+
+#: Fewest replicates: shorter runs give noisy standard errors.
+MIN_REPLICATES = 100
+
+#: Largest replicate count: the default sweep needs ~8 KB per replicate
+#: (121 MB peak at 10^4), so this stays near 1 GB.
+MAX_REPLICATES = 100_000
+
+
+def corrected_variance(variance, width: float):
+    """Histogram-density variance from the discrete variance of its masses."""
+    # numpy's power gives the bits of width**2, but inf instead of OverflowError
+    return variance + np.float64(width) ** 2 / 12.0
+
+
+def corrected_entropy(entropy, width: float):
+    """Histogram-density entropy from the discrete entropy of its masses."""
+    return entropy + math.log(width)
 
 
 def _needs(witness_ids) -> tuple[bool, bool]:
@@ -87,9 +145,53 @@ def _reduce(
     return _MarginalStats(width, kept, variance, entropy)
 
 
-def _log_bound_table(r_widths, s_widths) -> np.ndarray:
+def _point_stats(d: DiscreteDistribution, need_variance: bool, need_entropy: bool):
+    """The B = 1 statistics of the exact masses of d."""
+    return _reduce(d.grid.width, d.masses[None, :], d.grid.centers, need_variance, need_entropy)
+
+
+def discrete_variance(d: DiscreteDistribution) -> float:
+    """Variance of the bin masses over the bin centers.
+
+    Note that for data binned from a continuous variable this *grouped*
+    variance includes the spread within bins, so on smooth distributions it
+    sits near sigma^2 + width^2/12, not sigma^2.
+    """
+    return float(_point_stats(d, True, False).variance[0])
+
+
+def discrete_entropy(d: DiscreteDistribution) -> float:
+    """Shannon entropy -sum(q ln q) in nats, with 0 ln 0 = 0."""
+    return float(_point_stats(d, False, True).entropy[0])
+
+
+def histogram_variance(d: DiscreteDistribution) -> float:
+    """Variance of the piecewise-constant density of d.
+
+    Equals the discrete variance of the masses plus width^2/12; the floor
+    width^2/12 is attained exactly when one bin carries all mass.
+    """
+    return corrected_variance(discrete_variance(d), d.grid.width)
+
+
+def histogram_entropy(d: DiscreteDistribution) -> float:
+    """Differential entropy of the piecewise-constant density of d (nats).
+
+    Equals the discrete entropy of the masses plus ln(width); for a single
+    occupied bin this is exactly ln(width), the entropy of one rectangle.
+    """
+    return corrected_entropy(discrete_entropy(d), d.grid.width)
+
+
+def _log_bound_table(r_stats, s_stats) -> np.ndarray:
     """ln bound_constant(w_r * w_s) as an (R, S, 1) array, one call per distinct product."""
-    products = np.array([[wr * ws for ws in s_widths] for wr in r_widths])
+    products = np.array([[r.width * s.width for s in s_stats] for r in r_stats])
+    if not np.isfinite(products).all():  # widths are positive: the largest pair overflows
+        raise InvalidParameterError(
+            f"bin widths {max(r.width for r in r_stats):.6g} and "
+            f"{max(s.width for s in s_stats):.6g} are too wide for "
+            "coarse_entropic: their product overflows a float"
+        )
     distinct, inverse = np.unique(products.ravel(), return_inverse=True)
     logs = np.array([math.log(entropic_bound_constant(g)) for g in distinct])
     return logs[inverse].reshape(products.shape)[:, :, None]
@@ -98,11 +200,8 @@ def _log_bound_table(r_widths, s_widths) -> np.ndarray:
 def _combine(witness_id: str, r_stats, s_stats, log_bound) -> np.ndarray:
     """Values (R, S, B) of one witness on every pair of r_stats and s_stats.
 
-    Each marginal contributes one input x: its histogram entropy to
-    coarse_entropic, its histogram variance to coarse_variance and its
-    discrete variance to naive_discrete. coarse_entropic is then
-    x_r + x_s + log_bound (from _log_bound_table), and the variance-product
-    witnesses are x_r * x_s - 1.
+    The formulas are those of the module docstring, with log_bound from
+    _log_bound_table.
     """
 
     def stacked(stats):
@@ -128,8 +227,9 @@ def witness_grid(r, s, witness_ids=DATA_WITNESS_IDS) -> dict[str, np.ndarray]:
     (len(r), len(s)) array whose entry [i, j] is the witness on r[i] and
     s[j]; a single cell is the 1x1 grid. An empty r or s, or a witness_id
     outside DATA_WITNESS_IDS, raises ConfigurationError; an entry that is
-    not a DiscreteDistribution, or a value that is not finite (bins so wide
-    that a corrected variance overflows), raises InvalidParameterError.
+    not a DiscreteDistribution, bins so wide that coarse_entropic's width
+    product overflows, or a value that is not finite (bins so wide that a
+    corrected variance overflows), raises InvalidParameterError.
     """
     r, s = list(r), list(s)
     if not r or not s:
@@ -140,24 +240,162 @@ def witness_grid(r, s, witness_ids=DATA_WITNESS_IDS) -> dict[str, np.ndarray]:
                 f"marginals must be DiscreteDistributions, got {type(d).__name__}"
             )
     need_variance, need_entropy = _needs(witness_ids)
-
-    def stats(side):
-        return [
-            _reduce(d.grid.width, d.masses[None, :], d.grid.centers, need_variance, need_entropy)
-            for d in side
-        ]
-
     out = {}
     # overflow and inf - inf become the non-finite values refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        r_stats, s_stats = stats(r), stats(s)
-        log_bound = None
-        if need_entropy:
-            log_bound = _log_bound_table([d.grid.width for d in r], [d.grid.width for d in s])
+        r_stats = [_point_stats(d, need_variance, need_entropy) for d in r]
+        s_stats = [_point_stats(d, need_variance, need_entropy) for d in s]
+        log_bound = _log_bound_table(r_stats, s_stats) if need_entropy else None
         for witness_id in witness_ids:
             values = _combine(witness_id, r_stats, s_stats, log_bound)[:, :, 0]
             bad = values[~np.isfinite(values)]
             if bad.size:
                 raise InvalidParameterError(f"witness value must be finite, got {bad[0]}")
             out[witness_id] = values
+    return out
+
+
+@dataclass(frozen=True)
+class ErrorModel:
+    """What to fluctuate, and how hard, in each Monte Carlo replicate.
+
+    The replicates are those of the module docstring; center_jitter=False
+    gives the Poisson-only model. replicates must lie between MIN_REPLICATES
+    (fewer give unreliable standard errors) and MAX_REPLICATES; other
+    values are refused before anything is allocated. seed is a
+    non-negative integer, or None for fresh entropy.
+    """
+
+    center_jitter: bool = True
+    replicates: int = 1000
+    seed: int | None = 0
+
+    def __post_init__(self):
+        if not isinstance(self.replicates, (int, np.integer)):
+            raise InvalidParameterError(f"replicates must be an integer, got {self.replicates!r}")
+        if not MIN_REPLICATES <= self.replicates <= MAX_REPLICATES:
+            raise InvalidParameterError(
+                f"replicates must be at most {MAX_REPLICATES} and at least "
+                f"{MIN_REPLICATES}, got {self.replicates}"
+            )
+        if self.seed is not None and not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
+            raise InvalidParameterError(
+                f"seed must be a non-negative integer or None, got {self.seed!r}"
+            )
+
+
+def _center_sigma(jc: JointCounts, factor: int) -> float:
+    """Center-placement error of a factor-wide bin of jc's scan (mm or 1/mm)."""
+    g = jc.geometry
+    step = g.micrometer_step_mm
+    if jc.variable_pair == "position":
+        return step * math.sqrt(2.0) * factor * (g.f1_mm / g.f2_mm)
+    return step * math.sqrt(2.0) * (2.0 * factor * math.pi / (g.f3_mm * g.lambda_mm))
+
+
+def _stream(root: SeedSequence, key: tuple) -> Generator:
+    return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
+
+
+def _kept_std(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """ddof=1 standard deviation along the last axis over the kept entries."""
+    k = keep.sum(axis=-1)
+    mean = np.where(keep, values, 0.0).sum(axis=-1) / k
+    dev = np.where(keep, values - mean[..., None], 0.0)
+    return np.sqrt((dev * dev).sum(axis=-1) / (k - 1))
+
+
+def sweep_grid(
+    position: JointCounts,
+    momentum: JointCounts,
+    n_list,
+    m_list,
+    error_model: ErrorModel | None = None,
+    *,
+    pairings=tuple(PAIRINGS),
+    witness_ids=DATA_WITNESS_IDS,
+) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray | None]]:
+    """Witness values, and optionally standard errors, over a grid of rebin factors.
+
+    Returns {(pairing, witness_id): (values, uncertainties)}, each a
+    (len(n_list), len(m_list)) array whose entry [i, j] is the witness on
+    the position marginal rebinned by n_list[i] and the momentum marginal
+    rebinned by m_list[j], both on the diagonals that pairing names in
+    PAIRINGS; a single cell is the 1x1 grid. uncertainties is None without
+    an error model; otherwise it is the ddof=1 standard deviation of the
+    witness over the replicates in which both marginals drew a positive
+    total. A cell that discards more than 10% of its replicates raises
+    PropagationError. An empty n_list or m_list, swapped scans, scans of
+    two geometries, a pairing outside PAIRINGS or a witness_id outside
+    DATA_WITNESS_IDS raise ConfigurationError; an even or non-positive
+    factor, or one above binning.MAX_FACTOR, raises InvalidParameterError
+    (from binning.rebin). Deterministic for a fixed ErrorModel.seed.
+    """
+    if position.variable_pair != "position":
+        raise ConfigurationError("first scan must have variable_pair=position")
+    if momentum.variable_pair != "momentum":
+        raise ConfigurationError("second scan must have variable_pair=momentum")
+    ensure_matching_geometry(position, momentum)
+    if len(n_list) == 0 or len(m_list) == 0:
+        raise ConfigurationError("n_list and m_list must not be empty")
+    for pairing in pairings:
+        if pairing not in PAIRINGS:
+            raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
+    need_variance, need_entropy = _needs(witness_ids)
+    em = error_model
+    root = None if em is None else SeedSequence(em.seed)
+
+    def marginal_stats(jc: JointCounts, sign: str, factors):
+        """Point and replicate statistics of jc's sign-diagonal marginal at each factor."""
+        base = global_marginal(jc, sign)
+        points, replicates = [], []
+        for f in factors:
+            h = rebin(base, f)
+            points.append(_point_stats(h.normalize(), need_variance, need_entropy))
+            if em is None:
+                continue
+            # resample the occupied bins em.replicates times and reduce each replicate
+            key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
+            occupied = h.counts > 0
+            counts, centers = h.counts[occupied], h.grid.centers[occupied]
+            shape = (em.replicates, counts.size)
+            draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=shape)
+            if need_variance and em.center_jitter:
+                sigma = _center_sigma(jc, f)
+                centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(0.0, sigma, shape)
+            weights = draws.astype(np.float64)
+            replicates.append(_reduce(h.grid.width, weights, centers, need_variance, need_entropy))
+        return points, replicates
+
+    log_bound = None
+    out = {}
+    for pairing in pairings:
+        # the diagonal sign is the second character of each variable ("x+", "p-")
+        sign_r, sign_s = (variable[1] for variable in PAIRINGS[pairing])
+        r_point, r_reps = marginal_stats(position, sign_r, n_list)
+        s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
+        if need_entropy and log_bound is None:
+            # a marginal's width depends on its scan, not its diagonal sign,
+            # so one table serves both pairings
+            log_bound = _log_bound_table(r_point, s_point)
+        if em is not None:
+            keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
+                [st.kept for st in s_reps]
+            )[None, :, :]
+            discarded = em.replicates - keep.sum(axis=-1)
+            i, j = np.unravel_index(np.argmax(discarded), discarded.shape)
+            if discarded[i, j] > 0.1 * em.replicates:
+                raise PropagationError(
+                    f"{discarded[i, j]} of {em.replicates} replicates drew zero total "
+                    f"counts at n={n_list[i]}, m={m_list[j]}, pairing {pairing}; "
+                    "data too sparse for Monte Carlo propagation"
+                )
+        for witness_id in witness_ids:
+            values = _combine(witness_id, r_point, s_point, log_bound)[:, :, 0]
+            uncertainties = None
+            if em is not None:
+                uncertainties = _kept_std(_combine(witness_id, r_reps, s_reps, log_bound), keep)
+            out[pairing, witness_id] = (values, uncertainties)
     return out

@@ -3,6 +3,7 @@ import pytest
 
 from cgwitness import MarginalSpec, bin_mass_oracle
 from cgwitness.binning import (
+    MAX_FACTOR,
     BinGrid,
     CountHistogram,
     DiscreteDistribution,
@@ -124,6 +125,14 @@ class TestRebin:
         h = CountHistogram(BinGrid(1.0, -3, 3), np.ones(7, dtype=np.int64))
         with pytest.raises(InvalidParameterError):
             rebin(h, factor)
+
+    def test_rejects_factor_beyond_int64(self):
+        h = CountHistogram(BinGrid(1.0, -3, 3), np.ones(7, dtype=np.int64))
+        assert rebin(h, MAX_FACTOR).counts.sum() == 7
+        with pytest.raises(InvalidParameterError, match="at most"):
+            rebin(h, 2**70 + 1)
+        with pytest.raises(InvalidParameterError, match="at most"):
+            rebin(h, MAX_FACTOR + 2)
 
     @pytest.mark.parametrize("factor", [1, 3])
     def test_rejects_anything_but_a_count_histogram(self, factor):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cgwitness
 from cgwitness.cli import MAX_TABLE_POINTS, main
-from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES
+from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES
 from conftest import rebinned_marginals
 
 

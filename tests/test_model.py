@@ -131,6 +131,18 @@ class TestSampling:
             var = ((h.grid.centers - mu) ** 2 * h.counts).sum() / tot
             assert math.sqrt(var - w * w / 12.0) == pytest.approx(want, rel=0.01)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_samplers_refuse_bad_seeds(self, entangled_state, geometry, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer"):
+            sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=seed)
+        with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer"):
+            sample_marginal_counts(MarginalSpec("x+", 0.0, 1.0), 0.5, 1e4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**70, np.int64(3), np.random.SeedSequence(7)])
+    def test_samplers_accept_integer_sequence_or_no_seed(self, seed):
+        h = sample_marginal_counts(MarginalSpec("x+", 0.0, 1.0), 0.5, 1e4, seed=seed)
+        assert h.total > 0
+
     def test_wide_bins_warn(self, geometry):
         # sigma_plus large: std(x-) = 1/sigma_plus falls below the base width
         st = GaussianTwoPhotonState(100.0, 1.0)

@@ -1,8 +1,11 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import cgwitness
 from cgwitness import (
@@ -63,6 +66,19 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def _private_imports(path: Path) -> list[str]:
+    """`_`-prefixed names a cgwitness module imports from another cgwitness module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        f"{'.' * node.level}{node.module or ''}:{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "cgwitness")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
 class TestPublicSurface:
     def test_every_exported_name_resolves(self):
         for name in cgwitness.__all__:
@@ -80,6 +96,16 @@ class TestPublicSurface:
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
         assert not hasattr(GlobalMarginals, "by_name")
         assert not hasattr(cgwitness.errors, "InvalidPairingError")
+
+    def test_export_count(self):
+        assert len(cgwitness.__all__) == 44
+
+    def test_merged_modules_are_gone(self):
+        for name in ("cgwitness.uncertainty", "cgwitness.stats"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(name)
+        for attr in ("center_sigma_position", "center_sigma_momentum"):
+            assert not hasattr(ErrorModel, attr), attr
 
     def test_sweep_grid_is_exported(self):
         assert "sweep_grid" in cgwitness.__all__
@@ -105,6 +131,15 @@ class TestImports:
             for root in roots
             for path in sorted(root.rglob("*.py"))
             if (names := _unused_imports(path))
+        }
+        assert found == {}
+
+    def test_no_private_cross_module_imports(self):
+        root = Path(cgwitness.__file__).parent
+        found = {
+            str(path): names
+            for path in sorted(root.rglob("*.py"))
+            if (names := _private_imports(path))
         }
         assert found == {}
 

@@ -18,7 +18,7 @@ from cgwitness.errors import (
     PropagationError,
 )
 from cgwitness import witnesses
-from cgwitness.uncertainty import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
+from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, _center_sigma, sweep_grid
 from conftest import rebinned_marginals
 
 
@@ -61,16 +61,19 @@ class TestErrorModel:
         assert ErrorModel(seed=2**70).seed == 2**70
 
     def test_jitter_sigma_anchors(self, geometry):
-        em = ErrorModel()
-        assert em.center_sigma_position(1, geometry) == pytest.approx(
+        pos, mom = (
+            JointCounts(pair, 1.0, np.ones((1, 1), dtype=np.int64), geometry)
+            for pair in ("position", "momentum")
+        )
+        assert _center_sigma(pos, 1) == pytest.approx(
             0.01 * math.sqrt(2) * 50.0 / 200.0, rel=1e-12
         )
-        assert em.center_sigma_momentum(1, geometry) == pytest.approx(
+        assert _center_sigma(mom, 1) == pytest.approx(
             0.5468163616194912, rel=1e-12
         )
         # grows linearly with the rebin factor
-        assert em.center_sigma_position(7, geometry) == pytest.approx(
-            7 * em.center_sigma_position(1, geometry), rel=1e-12
+        assert _center_sigma(pos, 7) == pytest.approx(
+            7 * _center_sigma(pos, 1), rel=1e-12
         )
 
 
@@ -99,6 +102,10 @@ class TestWitnessPipeline:
             sweep_grid(*scans, [2], [1])
         with pytest.raises(InvalidParameterError):
             sweep_grid(*scans, [1], [0])
+
+    def test_rejects_factor_beyond_int64(self, scans):
+        with pytest.raises(InvalidParameterError, match="at most"):
+            sweep_grid(*scans, [2**63 + 1], [1])
 
     @pytest.mark.parametrize(
         "n_list,m_list", [([], [1]), ([1], []), ([], [])], ids=["n", "m", "both"]

@@ -13,6 +13,7 @@ from cgwitness import (
     exact_marginals,
     witness_grid,
 )
+from cgwitness import witnesses
 from cgwitness.cli import main
 from cgwitness.errors import ConfigurationError, InvalidParameterError
 
@@ -105,6 +106,19 @@ class TestCoarseWitnesses:
         for sides in (([], [s]), ([r], []), ([], [])):
             with pytest.raises(ConfigurationError, match="at least one marginal"):
                 witness_grid(*sides)
+
+    def test_overflowing_width_product_names_the_widths(self, monkeypatch):
+        r, s = _pm_inputs(1e160, 1e160)
+
+        def never(width_product):
+            raise AssertionError("C(gamma) evaluated")
+
+        monkeypatch.setattr(witnesses, "entropic_bound_constant", never)
+        with pytest.raises(InvalidParameterError, match=r"bin widths 1e\+160 and 1e\+160"):
+            witness_grid([r], [s], ("coarse_entropic",))
+        # variance-only calls never tabulate C(gamma) and keep their own refusal
+        with pytest.raises(InvalidParameterError, match="witness value must be finite, got inf"):
+            witness_grid([r], [s], ("coarse_variance",))
 
     def test_separable_coarse_witnesses_nonnegative_spotcheck(self):
         for width in (0.05, 0.5, 2.0, 5.0):
