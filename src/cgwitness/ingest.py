@@ -53,8 +53,10 @@ class OpticalGeometry:
     def __post_init__(self):
         for key in _GEOMETRY_KEYS:
             v = getattr(self, key)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InvalidParameterError(f"{key} must be finite and positive, got {v}")
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+            ):
+                raise InvalidParameterError(f"{key} must be a finite positive number, got {v!r}")
 
 
 def detector_to_source_scale(geometry: OpticalGeometry, variable_pair: str) -> float:
@@ -100,11 +102,13 @@ class JointCounts:
             raise InvalidParameterError("counts must be a non-empty 2-D array")
         c = frozen_counts(c)
         object.__setattr__(self, "counts", c)
-        rows, cols = c.shape
-        if self.i0 is None:
-            object.__setattr__(self, "i0", -((rows - 1) // 2))
-        if self.j0 is None:
-            object.__setattr__(self, "j0", -((cols - 1) // 2))
+        for key, length in zip(("i0", "j0"), c.shape):
+            v = getattr(self, key)
+            if v is None:
+                v = -((length - 1) // 2)
+            elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidParameterError(f"{key} must be an integer, got {v!r}")
+            object.__setattr__(self, key, int(v))
 
     @property
     def total(self) -> int:
@@ -145,15 +149,28 @@ def ensure_matching_geometry(a: JointCounts, b: JointCounts) -> None:
 
 
 def save_joint_counts(jc: JointCounts, path) -> None:
-    """Write a JointCounts to the line-oriented text format."""
+    """Write a JointCounts to the line-oriented text format.
+
+    Header values are written as Python floats and ints, so numpy scalars
+    round-trip too. Each distinct count below min(max + 1, cells) is
+    formatted once and gathered over the matrix; the rare larger cells are
+    formatted one by one. The rows are those of str(v) joined by ",".
+    """
     g = jc.geometry
     lines = [
         f"# variable_pair={jc.variable_pair}",
-        f"# step_mm={jc.step!r}",
+        f"# step_mm={float(jc.step)!r}",
     ]
-    lines += [f"# {key}={getattr(g, key)!r}" for key in _GEOMETRY_KEYS]
+    lines += [f"# {key}={float(getattr(g, key))!r}" for key in _GEOMETRY_KEYS]
     lines += [f"# i0={jc.i0}", f"# j0={jc.j0}"]
-    lines += [",".join(str(v) for v in row) for row in jc.counts]
+    c = jc.counts
+    size = min(int(c.max()) + 1, c.size)
+    table = np.array([str(v) for v in range(size)], dtype=object)
+    cells = table[np.minimum(c, size - 1)]
+    above = c >= size
+    if above.any():
+        cells[above] = [str(v) for v in c[above].tolist()]
+    lines += map(",".join, cells.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import MAX_COUNT, BinGrid, CountHistogram, DiscreteDistribution, coarse_grain
 from .errors import InvalidParameterError, TruncationError
@@ -196,8 +197,11 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
         bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std)), wide, min_captured=0.0
     )
     ms, md = r_sum.masses * r_sum.captured_fraction, r_diff.masses * r_diff.captured_fraction
-    idx = np.arange(-n, n + 1)
-    cells = ms[(idx[:, None] + idx[None, :]) + 3 * n] * md[(idx[:, None] - idx[None, :]) + 3 * n]
+    # cell (i, j) reads ms[i + j + 3n] and md[i - j + 3n]: row i + n of a
+    # sliding window over ms[n:], and row n - i of one over md reversed
+    sums = sliding_window_view(ms[n:], side)[:side]
+    diffs = sliding_window_view(md[::-1][n:], side)[side - 1 :: -1]
+    cells = sums * diffs
     # every (i, j) pair hits sum and difference indices of equal parity
     even_s, odd_s = ms[::2].sum(), ms[1::2].sum()
     even_d, odd_d = md[::2].sum(), md[1::2].sum()
@@ -259,11 +263,10 @@ def sample_joint_counts(
         )
     n, cells, _ = _plan_square(sum_std, diff_std, width)
     lam = total_expected_counts * cells / cells.sum()
-    counts = _rng_from(seed).poisson(lam).astype(np.int64)
     return JointCounts(
         variable_pair=variable_pair,
         step=step,
-        counts=counts,
+        counts=_rng_from(seed).poisson(lam),
         geometry=geometry,
         i0=-n,
         j0=-n,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -57,6 +58,16 @@ class TestSimulate:
         b_pos, b_mom = _simulate(tmp_path, "b", seed=5)
         assert a_pos.read_bytes() == b_pos.read_bytes()
         assert a_mom.read_bytes() == b_mom.read_bytes()
+
+    def test_seed_42_pair_bytes_are_pinned(self, tmp_path):
+        # any change to the sampler's draws or the writer's format moves these
+        prefix = str(tmp_path / "scan")
+        assert main(["simulate", "--seed", "42", "--total-counts", "1e5", "--output-prefix", prefix]) == 0
+        digests = [
+            hashlib.md5((tmp_path / f"scan_{pair}.txt").read_bytes()).hexdigest()
+            for pair in ("position", "momentum")
+        ]
+        assert digests == ["d7edb5d95dee819f169ef603a1283b31", "8a1a68f8af8f61586f7e2fc293998bc2"]
 
     def test_seed_changes_output(self, tmp_path):
         a_pos, _ = _simulate(tmp_path, "a", seed=5)

@@ -43,6 +43,8 @@ class TestGeometry:
             OpticalGeometry(f1_mm=0.0)
         with pytest.raises(InvalidParameterError):
             OpticalGeometry(lambda_mm=-1.0)
+        with pytest.raises(InvalidParameterError, match="f1_mm must be a finite positive number"):
+            OpticalGeometry(f1_mm=True)  # bool is an int, and saves as "True"
         with pytest.raises(InvalidParameterError):
             detector_to_source_scale(OpticalGeometry(), "angle")
 
@@ -95,6 +97,16 @@ class TestJointCounts:
             geometry=geometry,
         )
         assert (jc.i0, jc.j0) == (-2, -3)
+
+    @pytest.mark.parametrize("key", ["i0", "j0"])
+    @pytest.mark.parametrize("origin", [0.5, 2.0, True, np.bool_(False), "1"])
+    def test_non_integer_origins_rejected(self, geometry, key, origin):
+        with pytest.raises(InvalidParameterError, match=f"{key} must be an integer"):
+            JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), geometry, **{key: origin})
+
+    def test_numpy_integer_origins_accepted(self, geometry):
+        jc = JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), geometry, np.int64(-4), np.int32(3))
+        assert (jc.i0, jc.j0) == (-4, 3)
 
 
 class TestGlobalMarginal:
@@ -152,6 +164,59 @@ class TestRoundTrip:
         assert back.step == jc.step
         assert (back.i0, back.j0) == (jc.i0, jc.j0)
         assert back.geometry == jc.geometry
+
+    def test_numpy_scalar_headers_round_trip(self, tmp_path):
+        geometry = OpticalGeometry(f1_mm=np.float64(50.0), s_x_mm=np.float64(0.05))
+        jc = JointCounts("position", np.float64(0.05), np.ones((2, 3), dtype=np.int64), geometry)
+        path = tmp_path / "scan.txt"
+        save_joint_counts(jc, path)
+        assert "# step_mm=0.05\n# f1_mm=50.0\n" in path.read_text()
+        back = load_joint_counts(path)
+        assert (back.step, back.geometry) == (0.05, OpticalGeometry())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_writer_matches_per_cell_str(self, tmp_path_factory, data):
+        # the writer formats each distinct count below min(max + 1, cells)
+        # once; drawing values up to cells + 2 puts cells at, just below and
+        # just above that bound, and a filler cell reaches 2**63 - 1
+        n = data.draw(st.integers(2, 9))
+        rows, cols = data.draw(st.sampled_from([(1, 1), (1, n), (n, 1), (n, n)]))
+        values = data.draw(
+            st.lists(st.integers(0, rows * cols + 2), min_size=rows * cols, max_size=rows * cols)
+        )
+        if data.draw(st.booleans()):
+            cell = data.draw(st.integers(0, rows * cols - 1))
+            values[cell] = 0
+            values[cell] = 2**63 - 1 - sum(values)  # the total stays in int64
+        counts = np.array(values, dtype=np.int64).reshape(rows, cols)
+        jc = JointCounts(
+            data.draw(st.sampled_from(["position", "momentum"])),
+            data.draw(st.floats(1e-6, 1e3)),
+            counts,
+            OpticalGeometry(f2_mm=data.draw(st.floats(1.0, 1e4))),
+            data.draw(st.integers(-(2**40), 2**40)),
+            data.draw(st.integers(-(2**40), 2**40)),
+        )
+        path = tmp_path_factory.mktemp("writer") / "scan.txt"
+        save_joint_counts(jc, path)
+        lines = path.read_bytes().split(b"\n")
+        reference = [",".join(str(v) for v in row).encode() for row in counts.tolist()]
+        assert lines[-len(reference) - 1 :] == reference + [b""]
+        back = load_joint_counts(path)
+        np.testing.assert_array_equal(back.counts, jc.counts)
+        assert (back.variable_pair, back.step, back.geometry) == (jc.variable_pair, jc.step, jc.geometry)
+        assert (back.i0, back.j0) == (jc.i0, jc.j0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[[0]], [[2**63 - 1]], [[0, 0, 0]], [[3], [0], [1]], [[0, 4], [3, 2]], [[2**62, 2**62 - 1]]],
+        ids=["zero", "int64_max", "all_zero", "column_above_table", "square_at_table", "two_above"],
+    )
+    def test_writer_named_matrices(self, geometry, tmp_path, counts):
+        save_joint_counts(JointCounts("position", 0.05, np.array(counts), geometry), tmp_path / "scan.txt")
+        lines = (tmp_path / "scan.txt").read_text().splitlines()
+        assert lines[-len(counts) :] == [",".join(map(str, row)) for row in counts]
 
     def test_scale_survives_round_trip_to_4_sig_figs(
         self, entangled_state, geometry, tmp_path

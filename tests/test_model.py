@@ -18,6 +18,7 @@ from cgwitness import (
     sample_marginal_counts,
 )
 from cgwitness import model
+from cgwitness.binning import BinGrid, coarse_grain
 from cgwitness.errors import InvalidParameterError
 from cgwitness.model import MAX_EXPECTED_COUNTS
 
@@ -191,6 +192,33 @@ class TestSampling:
                 assert captured >= 0.9999
                 planned += 1
         assert planned > 0, planned
+
+    # the default geometry's position and momentum scans, the large_scan
+    # benchmark's position scan (965 x 965), an asymmetric and a 5 x 5 plan
+    @pytest.mark.parametrize(
+        "stds_width",
+        [
+            (0.1, 0.4, 0.025),
+            (10.0, 2.5, 1.5466302294595288),
+            (0.1, 0.4, 0.0025),
+            (0.3, 7.0, 0.11),
+            (0.01, 0.01, 1.0),
+        ],
+    )
+    def test_plan_cells_match_the_index_formula(self, stds_width):
+        sum_std, diff_std, width = stds_width
+        n, cells, _ = model._plan_square(sum_std, diff_std, width)
+        wide = BinGrid(width, -3 * n, 3 * n)
+
+        def masses(name, std):
+            d = coarse_grain(bin_mass_oracle(MarginalSpec(name, 0.0, std)), wide, min_captured=0.0)
+            return d.masses * d.captured_fraction
+
+        ms, md = masses("x+", sum_std), masses("x-", diff_std)
+        idx = np.arange(-n, n + 1)
+        expected = ms[idx[:, None] + idx[None, :] + 3 * n] * md[idx[:, None] - idx[None, :] + 3 * n]
+        assert cells.shape == (2 * n + 1, 2 * n + 1)
+        assert np.array_equal(cells, expected)
 
     def test_invalid_arguments(self, entangled_state, geometry):
         with pytest.raises(InvalidParameterError):
