@@ -20,6 +20,13 @@ branch equals lambda0(g/8)/g. This file provides:
   * the bound constant itself, with an asymptotic tail beyond c = 14
     where the Bessel series loses accuracy to cancellation.
 
+The constant is exactly flat, 1/(2*pi*e), below the branch switch
+g* ~ 14.3332, where the curved branch crosses it. Below FLAT_BRANCH_END,
+a point just short of g*, the flat value is returned without solving the
+eigenproblem: the min would discard the curved branch there anyway, so the
+result is the same to the last bit. Most width products of a sweep lie on
+this segment.
+
 Only numpy is needed. The test suite checks the series against scipy's
 independent prolate routines (Zhang & Jin's specfun) on the whole series
 domain.
@@ -42,6 +49,11 @@ CONTINUOUS_BOUND_CONSTANT = 1.0 / (2.0 * math.pi * math.e)
 #: concentration eigenvalue (series cancellation error crosses ~1e-7 there,
 #: while the tail is accurate to < 1e-12 and improving).
 SERIES_TAIL_SWITCH = 14.0
+
+#: Width products below this lie on the flat branch: a point just below the
+#: branch switch g* ~ 14.3332 (the root of lambda0(g/8)/g = 1/(2*pi*e)),
+#: where the curved branch still exceeds 1/(2*pi*e) by ~7e-6.
+FLAT_BRANCH_END = 14.33
 
 @dataclass(frozen=True)
 class CharacteristicSolution:
@@ -193,18 +205,20 @@ def entropic_bound_constant(width_product: float) -> float:
             bin widths (>= 0).
 
     Returns:
-        min(1/(2*pi*e), lambda0(width_product/8)/width_product); at 0 the
-        flat branch 1/(2*pi*e), recovering the continuous bound.
+        min(1/(2*pi*e), lambda0(width_product/8)/width_product). Below
+        FLAT_BRANCH_END this is the flat branch 1/(2*pi*e), returned
+        without evaluating the curved one; at 0 it recovers the
+        continuous bound.
     """
     g = float(width_product)
     if not math.isfinite(g) or g < 0:
         raise InvalidParameterError(f"width product must be finite and nonnegative, got {g}")
-    if g == 0.0:
+    if g < FLAT_BRANCH_END:
         return CONTINUOUS_BOUND_CONSTANT
     c = g / 8.0
     if c <= SERIES_TAIL_SWITCH:
         # lambda0(c)/g with lambda0 = (2c/pi) r^2 and g = 8c: the c cancels,
-        # so evaluate r^2/(4 pi) directly and stay exact down to g ~ 1e-308
+        # so evaluate r^2/(4 pi) directly
         r = radial_first_kind(characteristic_solution(c))
         curved = r * r / (4.0 * math.pi)
     else:

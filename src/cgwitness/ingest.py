@@ -52,11 +52,22 @@ class OpticalGeometry:
 
     def __post_init__(self):
         for key in _GEOMETRY_KEYS:
-            v = getattr(self, key)
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-            ):
-                raise InvalidParameterError(f"{key} must be a finite positive number, got {v!r}")
+            _check_positive(key, getattr(self, key))
+
+
+def _check_positive(key: str, v) -> None:
+    """Refuse anything but a finite positive real number.
+
+    Python and numpy ints and floats pass; bools (an int that saves as
+    "True") and ints beyond the float range do not.
+    """
+    ok = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    try:
+        ok = ok and math.isfinite(v) and v > 0
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{key} must be a finite positive number, got {v!r}")
 
 
 def detector_to_source_scale(geometry: OpticalGeometry, variable_pair: str) -> float:
@@ -95,8 +106,7 @@ class JointCounts:
             raise InvalidParameterError(
                 f"variable_pair must be 'position' or 'momentum', got {self.variable_pair!r}"
             )
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise InvalidParameterError(f"step must be positive, got {self.step}")
+        _check_positive("step", self.step)
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
             raise InvalidParameterError("counts must be a non-empty 2-D array")

@@ -5,17 +5,22 @@ import pytest
 from scipy.special import pro_cv, spherical_jn
 
 from cgwitness import (
+    bound,
     characteristic_solution,
     concentration_eigenvalue,
     entropic_bound_constant,
+    load_joint_counts,
     radial_first_kind,
+    sweep_grid,
 )
 from cgwitness.bound import (
     CONTINUOUS_BOUND_CONSTANT,
+    FLAT_BRANCH_END,
     SERIES_TAIL_SWITCH,
     _even_spherical_jn,
     _solve_truncated,
 )
+from cgwitness.cli import DEFAULT_FACTORS, main
 from cgwitness.errors import InvalidParameterError
 from conftest import branch_switch_gamma, radial_first_kind_specfun
 
@@ -167,3 +172,94 @@ class TestEntropicBoundConstant:
         g_star = branch_switch_gamma()
         assert entropic_bound_constant(g_star * 0.999) == pytest.approx(FLAT, rel=1e-14)
         assert entropic_bound_constant(g_star * 1.001) < FLAT
+
+
+def _series_branch(g: float) -> float:
+    """The curved branch lambda0(g/8)/g through the series route, g/8 <= 14."""
+    return radial_first_kind(characteristic_solution(g / 8.0)) ** 2 / (4.0 * math.pi)
+
+
+def _full_route(g: float) -> float:
+    """min(flat, curved) with the curved branch evaluated at every g > 0."""
+    if g == 0.0:
+        return CONTINUOUS_BOUND_CONSTANT
+    c = g / 8.0
+    curved = _series_branch(g) if c <= SERIES_TAIL_SWITCH else concentration_eigenvalue(c) / g
+    return min(CONTINUOUS_BOUND_CONSTANT, curved)
+
+
+class TestFlatSegment:
+    """entropic_bound_constant returns the flat value below FLAT_BRANCH_END unsolved."""
+
+    def test_flat_branch_end_lies_below_branch_switch(self):
+        assert FLAT_BRANCH_END < branch_switch_gamma()
+
+    def test_curved_branch_exceeds_flat_value_below_the_end(self):
+        # the skipped evaluations: every one would lose the min to the flat value
+        gammas = np.concatenate(
+            (np.geomspace(1e-300, FLAT_BRANCH_END, 20_000), np.linspace(14.0, FLAT_BRANCH_END, 1001))
+        )
+        curved = np.array([_series_branch(g) for g in gammas])
+        margin = curved - CONTINUOUS_BOUND_CONSTANT
+        assert margin.min() > 5e-6
+        # and the margin shrinks monotonically towards the end
+        assert np.all(np.diff(curved[20_000:]) < 0)
+
+    def test_same_bits_as_the_full_route(self):
+        g_star = branch_switch_gamma()
+        gammas = np.concatenate(
+            (
+                [0.0, 5e-324, 1e-300, FLAT_BRANCH_END, g_star, 8.0 * SERIES_TAIL_SWITCH],
+                np.nextafter(FLAT_BRANCH_END, [0.0, np.inf]),
+                g_star * (1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])),
+                np.geomspace(1e-12, 1e3, 151),
+                np.linspace(14.0, 14.7, 141),
+                np.linspace(0.0, 150.0, 301),
+            )
+        )
+        for g in gammas:
+            assert entropic_bound_constant(g) == _full_route(g), g
+
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_validation_runs_before_the_flat_return(self, bad):
+        with pytest.raises(InvalidParameterError):
+            entropic_bound_constant(bad)
+
+
+class TestSweepReachesTheSolverOnlyOffTheFlatSegment:
+    @staticmethod
+    def _solved_parameters(monkeypatch, tmp_path, simulate_flags, factors):
+        """The c = g/8 at which a sweep of one simulated pair solves the eigenproblem."""
+        prefix = str(tmp_path / "scan")
+        assert main(["simulate", "--seed", "42", "--output-prefix", prefix, *simulate_flags]) == 0
+        pos = load_joint_counts(prefix + "_position.txt")
+        mom = load_joint_counts(prefix + "_momentum.txt")
+        solved, products = [], set()
+        solve, constant = bound.characteristic_solution, bound.entropic_bound_constant
+
+        def counting_solve(c):
+            solved.append(c)
+            return solve(c)
+
+        def recording_constant(g):
+            products.add(g)
+            return constant(g)
+
+        monkeypatch.setattr(bound, "characteristic_solution", counting_solve)
+        monkeypatch.setattr("cgwitness.witnesses.entropic_bound_constant", recording_constant)
+        sweep_grid(pos, mom, factors, factors)
+        return solved, products
+
+    def test_default_pair(self, monkeypatch, tmp_path):
+        factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
+        solved, products = self._solved_parameters(monkeypatch, tmp_path, [], factors)
+        assert len(products) == 88
+        curved = sorted(g for g in products if g >= FLAT_BRANCH_END)
+        assert len(curved) == 3
+        assert solved == [g / 8.0 for g in curved]
+
+    def test_large_scan_pair(self, monkeypatch, tmp_path):
+        flags = ["--s-x-mm", "0.005", "--s-p-mm", "0.002", "--total-counts", "1e7"]
+        solved, products = self._solved_parameters(monkeypatch, tmp_path, flags, [1, 5, 9, 13, 17, 21])
+        assert len(products) == 29
+        assert solved == []

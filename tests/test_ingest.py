@@ -48,6 +48,19 @@ class TestGeometry:
         with pytest.raises(InvalidParameterError):
             detector_to_source_scale(OpticalGeometry(), "angle")
 
+    def test_int_beyond_float_range_rejected(self):
+        # math.isfinite would raise a bare OverflowError on it
+        with pytest.raises(InvalidParameterError, match="f1_mm must be a finite positive number"):
+            OpticalGeometry(f1_mm=10**400)
+
+    def test_numpy_integers_accepted(self, tmp_path):
+        g = OpticalGeometry(f1_mm=np.int64(50), f2_mm=np.int32(200))
+        assert g == OpticalGeometry()
+        jc = JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), g)
+        path = tmp_path / "scan.txt"
+        save_joint_counts(jc, path)
+        assert load_joint_counts(path).geometry == OpticalGeometry()
+
 
 class TestJointCounts:
     @pytest.mark.parametrize(
@@ -103,6 +116,16 @@ class TestJointCounts:
     def test_non_integer_origins_rejected(self, geometry, key, origin):
         with pytest.raises(InvalidParameterError, match=f"{key} must be an integer"):
             JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), geometry, **{key: origin})
+
+    @pytest.mark.parametrize(
+        "step",
+        [True, np.bool_(True), 10**400, 0, -0.05, "0.05"],
+        ids=["bool", "numpy_bool", "beyond_float", "zero", "negative", "text"],
+    )
+    def test_bad_step_rejected(self, geometry, step):
+        # True would save as "# step_mm=1.0"
+        with pytest.raises(InvalidParameterError, match="step must be a finite positive number"):
+            JointCounts("position", step, np.ones((2, 2), dtype=np.int64), geometry)
 
     def test_numpy_integer_origins_accepted(self, geometry):
         jc = JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), geometry, np.int64(-4), np.int32(3))
