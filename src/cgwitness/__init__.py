@@ -22,16 +22,12 @@ from .binning import (
 )
 from .bound import (
     CONTINUOUS_BOUND_CONSTANT,
-    CharacteristicSolution,
-    characteristic_solution,
     concentration_eigenvalue,
     entropic_bound_constant,
-    radial_first_kind,
 )
 from .errors import (
     CGWitnessError,
     ConfigurationError,
-    ConvergenceError,
     InvalidParameterError,
     NormalizationError,
     ParseError,
@@ -75,9 +71,7 @@ __all__ = [
     "BinGrid",
     "CGWitnessError",
     "CONTINUOUS_BOUND_CONSTANT",
-    "CharacteristicSolution",
     "ConfigurationError",
-    "ConvergenceError",
     "CountHistogram",
     "DATA_WITNESS_IDS",
     "DiscreteDistribution",
@@ -94,7 +88,6 @@ __all__ = [
     "PropagationError",
     "TruncationError",
     "bin_mass_oracle",
-    "characteristic_solution",
     "coarse_grain",
     "coarse_grained_marginal",
     "concentration_eigenvalue",
@@ -108,7 +101,6 @@ __all__ = [
     "histogram_entropy",
     "histogram_variance",
     "load_joint_counts",
-    "radial_first_kind",
     "rebin",
     "sample_joint_counts",
     "sample_marginal_counts",

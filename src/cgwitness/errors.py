@@ -39,10 +39,6 @@ class ConfigurationError(CGWitnessError, ValueError):
     """Inconsistent or unsupported combination of run options."""
 
 
-class ConvergenceError(CGWitnessError, ArithmeticError):
-    """An iterative numerical routine failed to converge."""
-
-
 class PropagationError(CGWitnessError, ArithmeticError):
     """Monte Carlo error propagation produced too many unusable replicates."""
 
@@ -55,4 +51,4 @@ USAGE_ERRORS = (
     ConfigurationError,
 )
 
-NUMERICAL_ERRORS = (ConvergenceError, PropagationError)
+NUMERICAL_ERRORS = (PropagationError,)

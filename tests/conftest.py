@@ -48,8 +48,9 @@ def radial_first_kind_specfun(c: float) -> float:
     """Reference R_00(c, 1) from scipy's prolate routines, for c <= 14.
 
     scipy.special.pro_rad1 wraps Zhang & Jin's specfun (*Computation of
-    Special Functions*, 1996), code independent of the tridiagonal + Bessel
-    series in cgwitness.bound. It returns NaN at xi = 1 exactly, so evaluate
+    Special Functions*, 1996), code independent of the Nystrom eigensolve in
+    cgwitness.bound; lambda0(c) = (2c/pi) R_00(c, 1)^2. It returns NaN at
+    xi = 1 exactly, so evaluate
     just above and step back along the returned derivative. Reliable for
     c <= 14; above c ~ 20 it goes wrong (the wrong sign at c = 50).
     """

@@ -166,14 +166,13 @@ def test_criterion_6_entropic_beats_variance_under_coarse_graining():
 
 def test_criterion_7_bound_self_certification():
     gammas = np.logspace(-3.0, 2.0, 200)
-    worst_dr = 0.0
+    worst_dl = 0.0
     values = []
     for g in gammas:
         c = g / 8.0
-        sol = cg.characteristic_solution(c)
-        series = cg.radial_first_kind(sol)
-        reference = radial_first_kind_specfun(c)
-        worst_dr = max(worst_dr, abs(series - reference))
+        # lambda0 = (2c/pi) R_00(c, 1)^2, with R from scipy's independent specfun
+        reference = 2.0 * c / math.pi * radial_first_kind_specfun(c) ** 2
+        worst_dl = max(worst_dl, abs(cg.concentration_eigenvalue(c) - reference))
         values.append(cg.entropic_bound_constant(g))
     values = np.asarray(values)
 
@@ -188,7 +187,7 @@ def test_criterion_7_bound_self_certification():
     zero_ok = abs(c0 - 0.0585498) < 5e-8
 
     ok = (
-        worst_dr < 1e-8
+        worst_dl < 1e-8
         and positive
         and bounded
         and initial_flat
@@ -199,7 +198,7 @@ def test_criterion_7_bound_self_certification():
     assert _report(
         7,
         ok,
-        f"series vs specfun max |dR| {worst_dr:.2e}; one branch switch; "
+        f"lambda0 vs specfun max |d lambda0| {worst_dl:.2e}; one branch switch; "
         f"C(0) = {c0:.7f}",
     )
 

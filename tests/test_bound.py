@@ -1,24 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import pro_cv, spherical_jn
 
 from cgwitness import (
     bound,
-    characteristic_solution,
     concentration_eigenvalue,
     entropic_bound_constant,
     load_joint_counts,
-    radial_first_kind,
     sweep_grid,
 )
 from cgwitness.bound import (
     CONTINUOUS_BOUND_CONSTANT,
     FLAT_BRANCH_END,
     SERIES_TAIL_SWITCH,
-    _even_spherical_jn,
-    _solve_truncated,
+    _scaled_eigenvalue,
 )
 from cgwitness.cli import DEFAULT_FACTORS, main
 from cgwitness.errors import InvalidParameterError
@@ -27,81 +27,74 @@ from conftest import branch_switch_gamma, radial_first_kind_specfun
 FLAT = 1.0 / (2.0 * math.e * math.pi)
 
 
-class TestCharacteristicSolution:
-    def test_zero_parameter(self):
-        sol = characteristic_solution(0.0)
-        assert sol.chi == 0.0
-        assert radial_first_kind(sol) == pytest.approx(1.0)
-
-    def test_anchor_chi_at_one(self):
-        sol = characteristic_solution(1.0)
-        assert sol.chi == pytest.approx(0.319000055146, rel=1e-9)
-
-    def test_small_parameter_expansion(self):
-        # chi ~ c^2/3 - 2 c^4/135 for small c
-        c = 1e-3
-        sol = characteristic_solution(c)
-        want = c * c / 3.0 - 2.0 * c**4 / 135.0
-        assert sol.chi == pytest.approx(want, rel=1e-8)
-
-    def test_coefficients_decay(self):
-        sol = characteristic_solution(5.0)
-        d = np.abs(np.asarray(sol.coefficients))
-        assert d[-1] < 1e-13 * d.max()
-
-    def test_truncation_has_a_twofold_margin(self):
-        # half the truncation order used is already converged, on the whole
-        # domain where the series route uses the solution
-        for c in np.linspace(0.01, SERIES_TAIL_SWITCH, 29):
-            order = characteristic_solution(c).coefficients.size
-            _, d = _solve_truncated(c, order // 2)
-            assert np.max(np.abs(d[-3:])) <= 1e-14 * np.max(np.abs(d))
-
-    def test_rejects_bad_parameters(self):
-        for bad in (-1.0, math.nan, math.inf, SERIES_TAIL_SWITCH * 1.01):
-            with pytest.raises(InvalidParameterError):
-                characteristic_solution(bad)
+def _tail(c: float) -> float:
+    """The asymptotic tail of lambda0 that takes over above SERIES_TAIL_SWITCH."""
+    return 1.0 - 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
 
 
 class TestRadialFunction:
+    """lambda0 against the prolate radial function: lambda0(c) = (2c/pi) R_00(c, 1)^2."""
+
     def test_anchor_at_one(self):
-        sol = characteristic_solution(1.0)
-        assert radial_first_kind(sol) == pytest.approx(0.9483719511962, rel=1e-9)
+        assert radial_first_kind_specfun(1.0) == pytest.approx(0.9483719511962, rel=1e-9)
+        want = 2.0 / math.pi * 0.9483719511962**2
+        assert concentration_eigenvalue(1.0) == pytest.approx(want, rel=1e-9)
 
     def test_small_parameter_limit_is_one(self):
-        sol = characteristic_solution(1e-6)
-        assert radial_first_kind(sol) == pytest.approx(1.0, abs=1e-9)
+        # R_00(c, 1) -> 1 as c -> 0, and the scale-free solve keeps it there
+        c = 1e-6
+        assert math.pi / (2.0 * c) * concentration_eigenvalue(c) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("c", [0.01, 1.0, 5.0])
     def test_dual_route_agreement(self, c):
-        # the Bessel series against scipy's independent specfun routines
-        series = radial_first_kind(characteristic_solution(c))
-        assert abs(series - radial_first_kind_specfun(c)) < 1e-8
+        # the Nystrom eigensolve against scipy's independent specfun routines
+        reference = 2.0 * c / math.pi * radial_first_kind_specfun(c) ** 2
+        assert abs(concentration_eigenvalue(c) - reference) < 1e-8
 
-    def test_characteristic_matches_specfun(self):
-        sol = characteristic_solution(1.0)
-        assert sol.chi == pytest.approx(pro_cv(0, 0, 1.0), rel=1e-10)
 
-    @pytest.mark.parametrize("c", [SERIES_TAIL_SWITCH * 1.0001, 50.0])
-    def test_rejects_parameter_beyond_series_domain(self, c):
-        # at c = 50 the series would return -0.009375 instead of ~0.177
+class TestNystrom:
+    def test_node_convergence(self):
+        # 32 nodes against 96 (numpy's leggauss), in ln C, on the whole
+        # curved segment the solve serves
+        x, w = np.polynomial.legendre.leggauss(96)
+        separation, root_weights = (x[:, None] - x[None, :]) / math.pi, np.sqrt(np.outer(w, w))
+        for g in np.linspace(FLAT_BRANCH_END, 8.0 * SERIES_TAIL_SWITCH, 61):
+            want = np.linalg.eigvalsh(root_weights * np.sinc(g / 8.0 * separation))[-1]
+            assert abs(math.log(_scaled_eigenvalue(g / 8.0)) - math.log(want)) < 1e-13, g
+
+    def test_nodes_match_numpy_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(32)
+        assert np.max(np.abs(bound._NODES - x)) < 1e-15
+        assert np.max(np.abs(bound._WEIGHTS - w)) < 2e-15
+        assert bound._WEIGHTS.sum() == pytest.approx(2.0, abs=4e-15)
+
+    def test_tiny_parameter_is_exact(self):
+        # the scale-free kernel: lambda0(g/8)/g -> 1/(4 pi) with no small-c branch
+        for g in (1e-300, 5e-324):
+            got = _scaled_eigenvalue(g / 8.0) / (8.0 * math.pi)
+            assert got == pytest.approx(1.0 / (4.0 * math.pi), rel=4e-16)
+
+    def test_import_does_not_load_numpy_polynomial(self):
+        # importing numpy.polynomial would add milliseconds to every CLI start
+        code = "import sys, cgwitness.cli; print('numpy.polynomial' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(bound.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
+
+
+class TestValidation:
+    @pytest.mark.parametrize("fn", [concentration_eigenvalue, entropic_bound_constant])
+    @pytest.mark.parametrize("bad", [10**400, "1", True, None, 1j])
+    def test_refuses_non_real_and_overflowing_input(self, fn, bad):
         with pytest.raises(InvalidParameterError):
-            radial_first_kind(characteristic_solution(c))
+            fn(bad)
 
-
-class TestBesselRecurrence:
-    @pytest.mark.parametrize(
-        "x", [1e-300, 1e-5, 9.99e-4, 1e-3, 0.5, math.pi, 2.0 * math.pi, 9.0, SERIES_TAIL_SWITCH]
-    )
-    def test_matches_scipy(self, x):
-        # both sides of the ascending-series switch and the zeros of j_0
-        got = _even_spherical_jn(96, x)
-        want = spherical_jn(2 * np.arange(96), x)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_subnormal_argument(self):
-        got = _even_spherical_jn(32, 5e-324)
-        assert got[0] == 1.0 and np.all(got[1:] == 0.0)
+    @pytest.mark.parametrize("fn", [concentration_eigenvalue, entropic_bound_constant])
+    @pytest.mark.parametrize("good", [np.int64(20), 20, np.float64(20.0), np.float32(20.0)])
+    def test_accepts_python_and_numpy_numbers(self, fn, good):
+        assert fn(good) == fn(20.0)
 
 
 class TestConcentrationEigenvalue:
@@ -121,11 +114,15 @@ class TestConcentrationEigenvalue:
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_series_to_tail_handoff_is_smooth(self):
+    def test_nystrom_to_tail_handoff_is_smooth(self):
         # the asymptotic tail takes over above c = 14
         lo = concentration_eigenvalue(13.999)
         hi = concentration_eigenvalue(14.001)
-        assert abs(hi - lo) < 1e-9
+        assert abs(hi - lo) < 1e-13
+
+    def test_nystrom_meets_tail_at_switch(self):
+        c = SERIES_TAIL_SWITCH
+        assert abs(concentration_eigenvalue(c) - _tail(c)) < 1e-13
 
     def test_small_c_quadratic(self):
         # Lambda ~ 2c/pi * R^2 -> (2/pi) c for c -> 0
@@ -174,9 +171,9 @@ class TestEntropicBoundConstant:
         assert entropic_bound_constant(g_star * 1.001) < FLAT
 
 
-def _series_branch(g: float) -> float:
-    """The curved branch lambda0(g/8)/g through the series route, g/8 <= 14."""
-    return radial_first_kind(characteristic_solution(g / 8.0)) ** 2 / (4.0 * math.pi)
+def _curved_branch(g: float) -> float:
+    """The curved branch lambda0(g/8)/g through the Nystrom eigensolve, g/8 <= 14."""
+    return _scaled_eigenvalue(g / 8.0) / (8.0 * math.pi)
 
 
 def _full_route(g: float) -> float:
@@ -184,7 +181,7 @@ def _full_route(g: float) -> float:
     if g == 0.0:
         return CONTINUOUS_BOUND_CONSTANT
     c = g / 8.0
-    curved = _series_branch(g) if c <= SERIES_TAIL_SWITCH else concentration_eigenvalue(c) / g
+    curved = _curved_branch(g) if c <= SERIES_TAIL_SWITCH else concentration_eigenvalue(c) / g
     return min(CONTINUOUS_BOUND_CONSTANT, curved)
 
 
@@ -199,7 +196,7 @@ class TestFlatSegment:
         gammas = np.concatenate(
             (np.geomspace(1e-300, FLAT_BRANCH_END, 20_000), np.linspace(14.0, FLAT_BRANCH_END, 1001))
         )
-        curved = np.array([_series_branch(g) for g in gammas])
+        curved = np.array([_curved_branch(g) for g in gammas])
         margin = curved - CONTINUOUS_BOUND_CONSTANT
         assert margin.min() > 5e-6
         # and the margin shrinks monotonically towards the end
@@ -235,7 +232,7 @@ class TestSweepReachesTheSolverOnlyOffTheFlatSegment:
         pos = load_joint_counts(prefix + "_position.txt")
         mom = load_joint_counts(prefix + "_momentum.txt")
         solved, products = [], set()
-        solve, constant = bound.characteristic_solution, bound.entropic_bound_constant
+        solve, constant = bound._scaled_eigenvalue, bound.entropic_bound_constant
 
         def counting_solve(c):
             solved.append(c)
@@ -245,7 +242,7 @@ class TestSweepReachesTheSolverOnlyOffTheFlatSegment:
             products.add(g)
             return constant(g)
 
-        monkeypatch.setattr(bound, "characteristic_solution", counting_solve)
+        monkeypatch.setattr(bound, "_scaled_eigenvalue", counting_solve)
         monkeypatch.setattr("cgwitness.witnesses.entropic_bound_constant", recording_constant)
         sweep_grid(pos, mom, factors, factors)
         return solved, products

@@ -39,6 +39,10 @@ REMOVED = (
     "WITNESS_IDS",
     "CONTINUOUS_ENTROPIC_BOUND",
     "InvalidPairingError",
+    "CharacteristicSolution",
+    "characteristic_solution",
+    "radial_first_kind",
+    "ConvergenceError",
 )
 
 #: Keywords the functions no longer take; no caller outside their own tests set them.
@@ -96,9 +100,11 @@ class TestPublicSurface:
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
         assert not hasattr(GlobalMarginals, "by_name")
         assert not hasattr(cgwitness.errors, "InvalidPairingError")
+        assert not hasattr(cgwitness.errors, "ConvergenceError")
+        assert cgwitness.errors.NUMERICAL_ERRORS == (cgwitness.errors.PropagationError,)
 
     def test_export_count(self):
-        assert len(cgwitness.__all__) == 44
+        assert len(cgwitness.__all__) == 40
 
     def test_merged_modules_are_gone(self):
         for name in ("cgwitness.uncertainty", "cgwitness.stats"):

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgwitness import (
-    characteristic_solution,
+    concentration_eigenvalue,
     discrete_entropy,
     discrete_variance,
     entropic_bound_constant,
     histogram_entropy,
     histogram_variance,
-    radial_first_kind,
     witness_grid,
 )
 from cgwitness.binning import BinGrid, CountHistogram, DiscreteDistribution, rebin
@@ -174,8 +173,8 @@ class TestBoundProperties:
     @given(st.floats(min_value=0.0, max_value=SERIES_TAIL_SWITCH, exclude_min=True))
     @example(SERIES_TAIL_SWITCH)
     @settings(max_examples=100, deadline=None)
-    def test_series_matches_specfun(self, c):
-        # the Bessel series against Zhang & Jin's independent routines, on
-        # the whole series domain (0, 14]
-        series = radial_first_kind(characteristic_solution(c))
-        assert abs(series - radial_first_kind_specfun(c)) < 1e-8
+    def test_nystrom_matches_specfun(self, c):
+        # the Nystrom eigensolve against (2c/pi) R_00(c, 1)^2 from Zhang &
+        # Jin's independent routines, on its whole domain (0, 14]
+        reference = 2.0 * c / math.pi * radial_first_kind_specfun(c) ** 2
+        assert abs(concentration_eigenvalue(c) - reference) < 1e-8
