@@ -14,7 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, NormalizationError, TruncationError
+from .errors import (
+    InvalidParameterError,
+    NormalizationError,
+    TruncationError,
+    check_int,
+    check_real,
+)
 
 MASS_TOLERANCE = 1e-9
 
@@ -40,9 +46,8 @@ class BinGrid:
     j_max: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise InvalidParameterError(f"bin width must be positive, got {self.width}")
-        if self.j_min > self.j_max:
+        check_real("bin width", self.width, 0, closed=False)
+        if check_int("j_min", self.j_min) > check_int("j_max", self.j_max):
             raise InvalidParameterError(
                 f"empty index range [{self.j_min}, {self.j_max}]"
             )
@@ -50,9 +55,13 @@ class BinGrid:
     @classmethod
     def spanning(cls, width: float, lo: float, hi: float) -> "BinGrid":
         """Smallest grid of the given width whose bins cover [lo, hi]."""
+        width = check_real("bin width", width, 0, closed=False)
         if not lo <= hi:
             raise InvalidParameterError(f"invalid span [{lo}, {hi}]")
-        return cls(width, math.floor(lo / width + 0.5), math.ceil(hi / width - 0.5))
+        first, last = lo / width + 0.5, hi / width - 0.5
+        if not (math.isfinite(first) and math.isfinite(last)):
+            raise InvalidParameterError(f"span [{lo}, {hi}] holds too many bins of width {width}")
+        return cls(width, math.floor(first), math.ceil(last))
 
     @property
     def n_bins(self) -> int:
@@ -177,6 +186,7 @@ def coarse_grain(
         DiscreteDistribution with renormalized masses and the captured
         fraction recorded.
     """
+    check_real("min_captured", min_captured, 0, 1)
     j = grid.indices
     lo = (j - 0.5) * grid.width
     hi = (j + 0.5) * grid.width
@@ -213,12 +223,8 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     """
     if not isinstance(h, CountHistogram):
         raise InvalidParameterError(f"rebin needs a CountHistogram, got {type(h).__name__}")
-    if not isinstance(factor, (int, np.integer)) or factor < 1 or factor % 2 == 0:
-        raise InvalidParameterError(
-            f"rebin factor must be an odd positive integer, got {factor!r}"
-        )
-    if factor > MAX_FACTOR:
-        raise InvalidParameterError(f"rebin factor must be at most {MAX_FACTOR}, got {factor}")
+    if check_int("rebin factor", factor, 1, MAX_FACTOR) % 2 == 0:
+        raise InvalidParameterError(f"rebin factor must be odd, got {factor}")
     if factor == 1:
         return h
     half = (factor - 1) // 2

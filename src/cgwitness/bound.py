@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check_real
 
 #: Small-width limit of the bound constant, 1/(2*pi*e); minus its log is
 #: the continuous entropic bound ln(2*pi*e).
@@ -35,7 +35,7 @@ CONTINUOUS_BOUND_CONSTANT = 1.0 / (2.0 * math.pi * math.e)
 
 #: Above this c the Nystrom eigensolve hands off to the asymptotic tail of
 #: lambda0, accurate to < 1e-14 there and improving.
-SERIES_TAIL_SWITCH = 14.0
+TAIL_SWITCH = 14.0
 
 #: Width products below this lie on the flat branch: a point just below the
 #: branch switch g* ~ 14.3332 (the root of lambda0(g/8)/g = 1/(2*pi*e)),
@@ -69,26 +69,14 @@ def _scaled_eigenvalue(c: float) -> float:
     return float(np.linalg.eigvalsh(_ROOT_WEIGHTS * np.sinc(c * _SEPARATION))[-1])
 
 
-def _real(name: str, v) -> float:
-    """v as a float; refuse non-real values (str, bool) and ints beyond the float range."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise InvalidParameterError(f"{name} must be a real number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an int too large for a float
-        raise InvalidParameterError(f"{name} must be finite, got {v!r}") from None
-
-
 def concentration_eigenvalue(c: float) -> float:
     """Largest eigenvalue of the concentration operator, in (0, 1], increasing in c.
 
     The Nystrom eigensolve up to c = 14, then the asymptotic tail
     1 - 4*sqrt(pi*c)*exp(-2c)*(1 - 0.455/c), clipped to [0, 1].
     """
-    c = _real("parameter", c)
-    if not math.isfinite(c) or c <= 0:
-        raise InvalidParameterError(f"parameter must be finite and positive, got {c}")
-    if c <= SERIES_TAIL_SWITCH:
+    c = check_real("parameter", c, 0, closed=False)
+    if c <= TAIL_SWITCH:
         return min(1.0, c / math.pi * _scaled_eigenvalue(c))
     tail = 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
     return max(0.0, min(1.0, 1.0 - tail))
@@ -101,13 +89,11 @@ def entropic_bound_constant(width_product: float) -> float:
     momentum bin widths. Below FLAT_BRANCH_END the flat branch is returned
     unsolved; at 0 it is the continuous bound.
     """
-    g = _real("width product", width_product)
-    if not math.isfinite(g) or g < 0:
-        raise InvalidParameterError(f"width product must be finite and nonnegative, got {g}")
+    g = check_real("width product", width_product, 0)
     if g < FLAT_BRANCH_END:
         return CONTINUOUS_BOUND_CONSTANT
     c = g / 8.0
-    if c <= SERIES_TAIL_SWITCH:
+    if c <= TAIL_SWITCH:
         # lambda0(c)/g with lambda0 = (c/pi) * scaled and g = 8c: the c cancels
         curved = _scaled_eigenvalue(c) / (8.0 * math.pi)
     else:

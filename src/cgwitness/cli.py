@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .binning import MAX_FACTOR
 from .bound import entropic_bound_constant
-from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError
+from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError, check_real
 from .ingest import (
     OpticalGeometry,
     load_joint_counts,
@@ -39,8 +38,8 @@ DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
 #: Largest marginal grid demo-false-positive builds: ~70 MB and ~0.7 s of work.
 MAX_DEMO_BINS = 1_000_000
 
-#: Largest bound-table: up to ~1.3 ms per value (the series route near gamma = 112),
-#: so at most ~2 minutes of work.
+#: Largest bound-table: ~0.075 ms per value (one 32-node Nystrom eigensolve),
+#: so at most ~7.5 s of work.
 MAX_TABLE_POINTS = 100_000
 
 
@@ -82,15 +81,6 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _nsigma(text: str) -> float:
-    """argparse type of --detect-nsigma: a finite value >= 0. With NaN nothing
-    is detected; a negative value flags positive (inconclusive) values."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -142,7 +132,7 @@ def _emit_rows(rows, columns, fmt, output, *, sections=None) -> None:
                 v = row[col]
                 if v is None:
                     cells.append("")
-                elif isinstance(v, bool):
+                elif v is True or v is False:
                     cells.append("true" if v else "false")
                 elif isinstance(v, float):
                     cells.append(_fmt(v))
@@ -172,6 +162,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # NaN would detect nothing, and a negative value would flag positive (inconclusive) values
+    nsigma = check_real("--detect-nsigma", args.detect_nsigma, 0)
     position = load_joint_counts(args.position_file)
     momentum = load_joint_counts(args.momentum_file)
     n_list = _parse_factor_list(args.n_list, "--n-list")
@@ -204,7 +196,7 @@ def cmd_sweep(args) -> int:
                         uncertainty, detected = None, value < 0
                     else:
                         uncertainty = float(uncertainties[i, j])
-                        detected = value + args.detect_nsigma * uncertainty < 0
+                        detected = value + nsigma * uncertainty < 0
                     rows.append(
                         {
                             "n": n,
@@ -230,8 +222,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo_false_positive(args) -> int:
-    if not args.multiplier > 0:
-        raise ConfigurationError(f"--multiplier must be positive, got {args.multiplier}")
+    check_real("--multiplier", args.multiplier, 0, closed=False)
     # each marginal grid spans +/- SPAN_SIGMAS standard deviations in bins of
     # width 2*multiplier standard deviations: ~SPAN_SIGMAS/multiplier bins
     if SPAN_SIGMAS / args.multiplier > MAX_DEMO_BINS:
@@ -277,9 +268,8 @@ def cmd_demo_false_positive(args) -> int:
 
 
 def cmd_bound_table(args) -> int:
-    for flag, value in (("--gamma-min", args.gamma_min), ("--gamma-max", args.gamma_max)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{flag} must be finite, got {value}")
+    check_real("--gamma-min", args.gamma_min)
+    check_real("--gamma-max", args.gamma_max)
     if not args.gamma_max > args.gamma_min:
         raise ConfigurationError("--gamma-max must exceed --gamma-min")
     if not 2 <= args.points <= MAX_TABLE_POINTS:
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replicates", type=int, default=1000)
     p_sweep.add_argument(
         "--detect-nsigma",
-        type=_nsigma,
+        type=float,
         default=1.0,
         help="detection threshold: value + nsigma*stderr < 0",
     )

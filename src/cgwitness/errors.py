@@ -1,8 +1,12 @@
 """Exception taxonomy.
 
 Grouped so the CLI can map whole families to exit codes: input/usage
-problems exit 2, numerical failures exit 3.
+problems exit 2, numerical failures exit 3. The three check_* functions
+hold the one rule for what counts as a valid scalar argument.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class CGWitnessError(Exception):
@@ -52,3 +56,50 @@ USAGE_ERRORS = (
 )
 
 NUMERICAL_ERRORS = (PropagationError,)
+
+
+def _is_int(v) -> bool:
+    """Python and numpy ints; not bools, whose values would save as True/False."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def check_real(
+    name: str, v, low: float = -math.inf, high: float = math.inf, closed: bool = True
+) -> float:
+    """v as a finite float in [low, high], or (low, high] when closed is False.
+
+    Python and numpy ints and floats pass; bools, strings, complex values
+    and ints beyond the float range raise InvalidParameterError.
+    """
+    try:
+        x = float(v) if isinstance(v, Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if math.isfinite(x) and (low <= x if closed else low < x) and x <= high:
+        return x
+    if (low, high) == (-math.inf, math.inf):
+        want = "finite"
+    elif (low, high) == (0, math.inf):
+        want = f"a finite {'nonnegative' if closed else 'positive'} number"
+    else:
+        want = f"a finite number in {'[' if closed else '('}{low:.6g}, {high:.6g}]"
+    raise InvalidParameterError(f"{name} must be {want}, got {v!r}")
+
+
+def check_int(name: str, v, low: int = -(2**63), high: int = 2**63 - 1) -> int:
+    """v as an int in [low, high], by default the int64 range of numpy's indices.
+
+    Python and numpy ints pass; bools and non-integers raise InvalidParameterError.
+    """
+    if not _is_int(v):
+        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    if not low <= v <= high:
+        raise InvalidParameterError(f"{name} must be at most {high} and at least {low}, got {v}")
+    return int(v)
+
+
+def check_seed(v):
+    """v unchanged if it is None or an int >= 0; otherwise InvalidParameterError."""
+    if v is not None and not (_is_int(v) and v >= 0):
+        raise InvalidParameterError(f"seed must be a non-negative integer or None, got {v!r}")
+    return v

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import MAX_COUNT, BinGrid, CountHistogram, frozen_counts
-from .errors import ConfigurationError, InvalidParameterError, ParseError
+from .errors import ConfigurationError, InvalidParameterError, ParseError, check_int, check_real
 
 _GEOMETRY_KEYS = (
     "f1_mm",
@@ -52,22 +52,7 @@ class OpticalGeometry:
 
     def __post_init__(self):
         for key in _GEOMETRY_KEYS:
-            _check_positive(key, getattr(self, key))
-
-
-def _check_positive(key: str, v) -> None:
-    """Refuse anything but a finite positive real number.
-
-    Python and numpy ints and floats pass; bools (an int that saves as
-    "True") and ints beyond the float range do not.
-    """
-    ok = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    try:
-        ok = ok and math.isfinite(v) and v > 0
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise InvalidParameterError(f"{key} must be a finite positive number, got {v!r}")
+            check_real(key, getattr(self, key), 0, closed=False)
 
 
 def detector_to_source_scale(geometry: OpticalGeometry, variable_pair: str) -> float:
@@ -106,7 +91,7 @@ class JointCounts:
             raise InvalidParameterError(
                 f"variable_pair must be 'position' or 'momentum', got {self.variable_pair!r}"
             )
-        _check_positive("step", self.step)
+        check_real("step", self.step, 0, closed=False)
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
             raise InvalidParameterError("counts must be a non-empty 2-D array")
@@ -114,11 +99,8 @@ class JointCounts:
         object.__setattr__(self, "counts", c)
         for key, length in zip(("i0", "j0"), c.shape):
             v = getattr(self, key)
-            if v is None:
-                v = -((length - 1) // 2)
-            elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidParameterError(f"{key} must be an integer, got {v!r}")
-            object.__setattr__(self, key, int(v))
+            v = -((length - 1) // 2) if v is None else check_int(key, v)
+            object.__setattr__(self, key, v)
 
     @property
     def total(self) -> int:

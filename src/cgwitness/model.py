@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import MAX_COUNT, BinGrid, CountHistogram, DiscreteDistribution, coarse_grain
-from .errors import InvalidParameterError, TruncationError
+from .errors import InvalidParameterError, TruncationError, check_real, check_seed
 from .ingest import JointCounts, OpticalGeometry, detector_to_source_scale
 
 VARIABLE_NAMES = ("x+", "x-", "p+", "p-")
@@ -40,21 +40,9 @@ MAX_DETECTOR_CELLS = 10_000_000
 SPAN_SIGMAS = 9.0
 
 
-def _check_total(total_expected_counts: float) -> None:
-    if not 0 < total_expected_counts <= MAX_EXPECTED_COUNTS:
-        raise InvalidParameterError(
-            f"total_expected_counts must be positive and at most {MAX_EXPECTED_COUNTS:.6g}, "
-            f"got {total_expected_counts}"
-        )
-
-
 def _rng_from(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
-        if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise InvalidParameterError(
-                f"seed must be a non-negative integer or None, got {seed!r}"
-            )
-        seed = np.random.SeedSequence(seed)
+        seed = np.random.SeedSequence(check_seed(seed))
     return np.random.default_rng(seed)
 
 
@@ -71,9 +59,8 @@ class GaussianTwoPhotonState:
     sigma_minus: float
 
     def __post_init__(self):
-        for name, s in (("sigma_plus", self.sigma_plus), ("sigma_minus", self.sigma_minus)):
-            if not (math.isfinite(s) and s > 0):
-                raise InvalidParameterError(f"{name} must be finite and positive, got {s}")
+        check_real("sigma_plus", self.sigma_plus, 0, closed=False)
+        check_real("sigma_minus", self.sigma_minus, 0, closed=False)
 
 
 @dataclass(frozen=True)
@@ -89,8 +76,8 @@ class MarginalSpec:
             raise InvalidParameterError(
                 f"variable must be one of {VARIABLE_NAMES}, got {self.variable!r}"
             )
-        if not (math.isfinite(self.std) and self.std > 0):
-            raise InvalidParameterError(f"std must be positive, got {self.std}")
+        check_real("mean", self.mean)
+        check_real("std", self.std, 0, closed=False)
 
 
 @dataclass(frozen=True)
@@ -168,7 +155,7 @@ def sample_marginal_counts(
     Counts in bin k are independent Poisson with mean total * mass_k. seed
     is a non-negative integer, a numpy.random.SeedSequence, or None.
     """
-    _check_total(total_expected_counts)
+    check_real("total_expected_counts", total_expected_counts, 0, MAX_EXPECTED_COUNTS, closed=False)
     d = coarse_grained_marginal(m, width)
     counts = _rng_from(seed).poisson(total_expected_counts * d.masses)
     return CountHistogram(d.grid, counts)
@@ -246,7 +233,7 @@ def sample_joint_counts(
         raise InvalidParameterError(
             f"variable_pair must be 'position' or 'momentum', got {variable_pair!r}"
         )
-    _check_total(total_expected_counts)
+    check_real("total_expected_counts", total_expected_counts, 0, MAX_EXPECTED_COUNTS, closed=False)
     marg = exact_marginals(state)
     if variable_pair == "position":
         sum_std, diff_std = marg.x_plus.std, marg.x_minus.std

@@ -64,7 +64,13 @@ from numpy.random import Generator, SeedSequence, default_rng
 from ._kernels import batch_entropy, batch_weighted_moments
 from .binning import DiscreteDistribution, rebin
 from .bound import entropic_bound_constant
-from .errors import ConfigurationError, InvalidParameterError, PropagationError
+from .errors import (
+    ConfigurationError,
+    InvalidParameterError,
+    PropagationError,
+    check_int,
+    check_seed,
+)
 from .ingest import JointCounts, ensure_matching_geometry, global_marginal
 
 #: Witnesses that can be evaluated from binned count data alone.
@@ -271,19 +277,8 @@ class ErrorModel:
     seed: int | None = 0
 
     def __post_init__(self):
-        if not isinstance(self.replicates, (int, np.integer)):
-            raise InvalidParameterError(f"replicates must be an integer, got {self.replicates!r}")
-        if not MIN_REPLICATES <= self.replicates <= MAX_REPLICATES:
-            raise InvalidParameterError(
-                f"replicates must be at most {MAX_REPLICATES} and at least "
-                f"{MIN_REPLICATES}, got {self.replicates}"
-            )
-        if self.seed is not None and not (
-            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
-        ):
-            raise InvalidParameterError(
-                f"seed must be a non-negative integer or None, got {self.seed!r}"
-            )
+        check_int("replicates", self.replicates, MIN_REPLICATES, MAX_REPLICATES)
+        check_seed(self.seed)
 
 
 def _center_sigma(jc: JointCounts, factor: int) -> float:

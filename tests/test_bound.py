@@ -17,7 +17,7 @@ from cgwitness import (
 from cgwitness.bound import (
     CONTINUOUS_BOUND_CONSTANT,
     FLAT_BRANCH_END,
-    SERIES_TAIL_SWITCH,
+    TAIL_SWITCH,
     _scaled_eigenvalue,
 )
 from cgwitness.cli import DEFAULT_FACTORS, main
@@ -28,7 +28,7 @@ FLAT = 1.0 / (2.0 * math.e * math.pi)
 
 
 def _tail(c: float) -> float:
-    """The asymptotic tail of lambda0 that takes over above SERIES_TAIL_SWITCH."""
+    """The asymptotic tail of lambda0 that takes over above TAIL_SWITCH."""
     return 1.0 - 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
 
 
@@ -58,7 +58,7 @@ class TestNystrom:
         # curved segment the solve serves
         x, w = np.polynomial.legendre.leggauss(96)
         separation, root_weights = (x[:, None] - x[None, :]) / math.pi, np.sqrt(np.outer(w, w))
-        for g in np.linspace(FLAT_BRANCH_END, 8.0 * SERIES_TAIL_SWITCH, 61):
+        for g in np.linspace(FLAT_BRANCH_END, 8.0 * TAIL_SWITCH, 61):
             want = np.linalg.eigvalsh(root_weights * np.sinc(g / 8.0 * separation))[-1]
             assert abs(math.log(_scaled_eigenvalue(g / 8.0)) - math.log(want)) < 1e-13, g
 
@@ -121,7 +121,7 @@ class TestConcentrationEigenvalue:
         assert abs(hi - lo) < 1e-13
 
     def test_nystrom_meets_tail_at_switch(self):
-        c = SERIES_TAIL_SWITCH
+        c = TAIL_SWITCH
         assert abs(concentration_eigenvalue(c) - _tail(c)) < 1e-13
 
     def test_small_c_quadratic(self):
@@ -181,7 +181,7 @@ def _full_route(g: float) -> float:
     if g == 0.0:
         return CONTINUOUS_BOUND_CONSTANT
     c = g / 8.0
-    curved = _curved_branch(g) if c <= SERIES_TAIL_SWITCH else concentration_eigenvalue(c) / g
+    curved = _curved_branch(g) if c <= TAIL_SWITCH else concentration_eigenvalue(c) / g
     return min(CONTINUOUS_BOUND_CONSTANT, curved)
 
 
@@ -206,7 +206,7 @@ class TestFlatSegment:
         g_star = branch_switch_gamma()
         gammas = np.concatenate(
             (
-                [0.0, 5e-324, 1e-300, FLAT_BRANCH_END, g_star, 8.0 * SERIES_TAIL_SWITCH],
+                [0.0, 5e-324, 1e-300, FLAT_BRANCH_END, g_star, 8.0 * TAIL_SWITCH],
                 np.nextafter(FLAT_BRANCH_END, [0.0, np.inf]),
                 g_star * (1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])),
                 np.geomspace(1e-12, 1e3, 151),

@@ -14,7 +14,7 @@ def _random_batch(seed, rows=64, cols=257):
     return w, x, xb
 
 
-class TestPythonBackend:
+class TestBatchReductions:
     def test_moments_match_plain_numpy(self):
         w, x, _ = _random_batch(1)
         means, variances = batch_weighted_moments(w, x)
@@ -54,7 +54,7 @@ class TestPythonBackend:
             batch_weighted_moments(w, x[:-1])
 
 
-class TestBackendSelection:
+class TestOutputShapes:
     def test_package_level_functions_work(self):
         w, x, _ = _random_batch(7, rows=3, cols=11)
         means, variances = batch_weighted_moments(w, x)

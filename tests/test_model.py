@@ -98,6 +98,14 @@ class TestCoarseGrainedMarginal:
         assert mu == pytest.approx(5.0, abs=0.05)
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("width", [0.0, -0.0, -1.0, 5e-324])
+    def test_width_is_checked_before_the_span_divides_by_it(self, width):
+        m = MarginalSpec("x+", 0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="bin width|too many bins"):
+            coarse_grained_marginal(m, width)
+        with pytest.raises(InvalidParameterError, match="bin width|too many bins"):
+            sample_marginal_counts(m, width, 1e4, 0)
+
 
 class TestSampling:
     def test_marginal_counts_deterministic_and_poisson(self):

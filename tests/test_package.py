@@ -2,21 +2,34 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgwitness
 from cgwitness import (
     BinGrid,
+    CountHistogram,
     ErrorModel,
     GaussianTwoPhotonState,
     GlobalMarginals,
+    JointCounts,
+    MarginalSpec,
+    OpticalGeometry,
+    bin_mass_oracle,
+    coarse_grain,
     coarse_grained_marginal,
+    concentration_eigenvalue,
+    entropic_bound_constant,
+    rebin,
+    sample_joint_counts,
     sample_marginal_counts,
 )
 from cgwitness.cli import build_parser, main
+from cgwitness.errors import InvalidParameterError
 
 #: Names the package no longer exports; no caller in the package remains.
 REMOVED = (
@@ -50,6 +63,117 @@ REMOVED_PARAMETERS = (
     (coarse_grained_marginal, ("span_sigmas", "min_captured")),
     (sample_marginal_counts, ("span_sigmas", "min_captured")),
 )
+
+
+_SPEC = MarginalSpec("x+", 0.0, 1.0)
+_HIST = CountHistogram(BinGrid(1.0, -3, 3), np.ones(7, dtype=np.int64))
+_ONES = np.ones((3, 3), dtype=np.int64)
+_STATE = GaussianTwoPhotonState(10.0, 2.5)
+_GEOMETRY = OpticalGeometry()
+_GEOMETRY_FIELDS = tuple(f.name for f in dataclasses.fields(OpticalGeometry))
+
+#: Every public scalar argument: (id, call with the argument set to v, a
+#: valid value, the columns of BAD_SCALARS that are valid by contract).
+SCALAR_ARGUMENTS = [
+    ("BinGrid.width", lambda v: BinGrid(v, 0, 1), 1, ("half",)),
+    ("BinGrid.j_min", lambda v: BinGrid(1.0, v, 1), 0, ()),
+    ("BinGrid.j_max", lambda v: BinGrid(1.0, 0, v), 1, ()),
+    ("GaussianTwoPhotonState.sigma_plus", lambda v: GaussianTwoPhotonState(v, 1), 1, ("half",)),
+    ("GaussianTwoPhotonState.sigma_minus", lambda v: GaussianTwoPhotonState(1, v), 1, ("half",)),
+    ("MarginalSpec.mean", lambda v: MarginalSpec("x+", v, 1.0), 0, ("half",)),
+    ("MarginalSpec.std", lambda v: MarginalSpec("x+", 0.0, v), 1, ("half",)),
+    *[
+        (f"OpticalGeometry.{key}", lambda v, key=key: OpticalGeometry(**{key: v}), 1, ("half",))
+        for key in _GEOMETRY_FIELDS
+    ],
+    ("JointCounts.step", lambda v: JointCounts("position", v, _ONES, _GEOMETRY), 1, ("half",)),
+    ("JointCounts.i0", lambda v: JointCounts("position", 1, _ONES, _GEOMETRY, i0=v), -1, ("none",)),
+    ("JointCounts.j0", lambda v: JointCounts("position", 1, _ONES, _GEOMETRY, j0=v), -1, ("none",)),
+    ("ErrorModel.replicates", lambda v: ErrorModel(replicates=v), 100, ()),
+    ("ErrorModel.seed", lambda v: ErrorModel(seed=v), 3, ("none", "beyond_float")),
+    ("rebin.factor", lambda v: rebin(_HIST, v), 3, ()),
+    (
+        "coarse_grain.min_captured",
+        lambda v: coarse_grain(bin_mass_oracle(_SPEC), BinGrid(1.0, -9, 9), min_captured=v),
+        0,
+        ("half",),
+    ),
+    ("coarse_grained_marginal.width", lambda v: coarse_grained_marginal(_SPEC, v), 1, ("half",)),
+    (
+        "sample_marginal_counts.width",
+        lambda v: sample_marginal_counts(_SPEC, v, 1e4, 0),
+        1,
+        ("half",),
+    ),
+    (
+        "sample_marginal_counts.total",
+        lambda v: sample_marginal_counts(_SPEC, 0.5, v, 0),
+        10_000,
+        ("half",),
+    ),
+    (
+        "sample_marginal_counts.seed",
+        lambda v: sample_marginal_counts(_SPEC, 0.5, 1e4, v),
+        3,
+        ("none", "beyond_float"),
+    ),
+    (
+        "sample_joint_counts.total",
+        lambda v: sample_joint_counts(_STATE, _GEOMETRY, "position", v, 0),
+        10_000,
+        ("half",),
+    ),
+    (
+        "sample_joint_counts.seed",
+        lambda v: sample_joint_counts(_STATE, _GEOMETRY, "position", 1e4, v),
+        3,
+        ("none", "beyond_float"),
+    ),
+    ("concentration_eigenvalue", concentration_eigenvalue, 2, ("half",)),
+    ("entropic_bound_constant", entropic_bound_constant, 20, ("half",)),
+]
+
+#: Values no scalar argument takes, except where SCALAR_ARGUMENTS says the
+#: contract allows them (None and any int >= 0 are seeds; 0.5 is a real).
+BAD_SCALARS = {
+    "bool": True,
+    "text": "1",
+    "none": None,
+    "complex": 1j,
+    "nan": math.nan,
+    "+inf": math.inf,
+    "-inf": -math.inf,
+    "beyond_float": 10**400,
+    "half": 0.5,
+}
+
+
+def _scalar_cells():
+    for arg, call, _, valid in SCALAR_ARGUMENTS:
+        for column, value in BAD_SCALARS.items():
+            if column not in valid:
+                yield pytest.param(call, value, id=f"{arg}-{column}")
+
+
+def _scalar_checks_outside_errors(path: Path) -> list[str]:
+    """`except OverflowError` and `isinstance(..., bool)` in a module other than errors.py."""
+    if path.name == "errors.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            if "OverflowError" in names:
+                found.append(f"line {node.lineno}: except OverflowError")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+        ):
+            found.append(f"line {node.lineno}: isinstance(..., bool)")
+    return found
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -140,6 +264,17 @@ class TestImports:
         }
         assert found == {}
 
+    def test_scalar_checks_live_in_errors_only(self):
+        # a new entry point calls errors.check_real/check_int/check_seed
+        # instead of growing its own bool or overflow test
+        root = Path(cgwitness.__file__).parent
+        found = {
+            str(path): names
+            for path in sorted(root.rglob("*.py"))
+            if (names := _scalar_checks_outside_errors(path))
+        }
+        assert found == {}
+
     def test_no_private_cross_module_imports(self):
         root = Path(cgwitness.__file__).parent
         found = {
@@ -148,6 +283,23 @@ class TestImports:
             if (names := _private_imports(path))
         }
         assert found == {}
+
+
+class TestScalarArguments:
+    @pytest.mark.parametrize("call,value", _scalar_cells())
+    def test_refusal_table(self, call, value):
+        with pytest.raises(InvalidParameterError):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "call,good,valid", [pytest.param(c, g, v, id=a) for a, c, g, v in SCALAR_ARGUMENTS]
+    )
+    def test_python_and_numpy_numbers_pass(self, call, good, valid):
+        values = [good, np.int64(good)]
+        if "half" in valid:  # a real argument takes floats too
+            values.append(np.float32(good))
+        for value in values:
+            call(value)
 
 
 class TestReadme:
