@@ -4,6 +4,8 @@ A grid of width eta puts bin j on [(j-1/2)*eta, (j+1/2)*eta] with center
 j*eta, so a bin center always sits at the origin. Distributions over such
 grids come in two forms: raw integer counts and normalized bin masses,
 which also define the piecewise-constant density mass_k / width on bin k.
+BinGrid owns the extent of every array built over bins: at most MAX_BINS
+bins, with indices within +/-MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ MAX_COUNT = int(np.iinfo(np.int64).max)
 #: Largest rebin factor: bin indices are int64.
 MAX_FACTOR = int(np.iinfo(np.int64).max)
 
+#: Largest |bin index|: (j + half) in rebin then fits int64 at any factor.
+MAX_INDEX = 2**62
+
+#: Most bins in one grid: ~8 MB per float64 array over its bins.
+MAX_BINS = 1_000_000
+
 
 @dataclass(frozen=True)
 class BinGrid:
@@ -47,9 +55,11 @@ class BinGrid:
 
     def __post_init__(self):
         check_real("bin width", self.width, 0, closed=False)
-        if check_int("j_min", self.j_min) > check_int("j_max", self.j_max):
+        j_min = check_int("j_min", self.j_min, -MAX_INDEX, MAX_INDEX)
+        j_max = check_int("j_max", self.j_max, -MAX_INDEX, MAX_INDEX)
+        if not 0 <= j_max - j_min < MAX_BINS:
             raise InvalidParameterError(
-                f"empty index range [{self.j_min}, {self.j_max}]"
+                f"index range [{j_min}, {j_max}] is empty or holds too many bins (limit {MAX_BINS})"
             )
 
     @classmethod
@@ -59,8 +69,11 @@ class BinGrid:
         if not lo <= hi:
             raise InvalidParameterError(f"invalid span [{lo}, {hi}]")
         first, last = lo / width + 0.5, hi / width - 0.5
-        if not (math.isfinite(first) and math.isfinite(last)):
-            raise InvalidParameterError(f"span [{lo}, {hi}] holds too many bins of width {width}")
+        # at least last - first + 1 bins; NaN for an infinite span
+        if not last - first + 1 <= MAX_BINS:
+            raise InvalidParameterError(
+                f"span [{lo}, {hi}] holds too many bins of width {width} (limit {MAX_BINS})"
+            )
         return cls(width, math.floor(first), math.ceil(last))
 
     @property
@@ -165,12 +178,7 @@ class CountHistogram:
 BinMassOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def coarse_grain(
-    bin_mass_oracle: BinMassOracle,
-    grid: BinGrid,
-    *,
-    min_captured: float = 0.999,
-) -> DiscreteDistribution:
+def coarse_grain(bin_mass_oracle: BinMassOracle, grid: BinGrid) -> DiscreteDistribution:
     """Integrate a density over every bin of a grid.
 
     Args:
@@ -180,13 +188,12 @@ def coarse_grain(
             return one mass per bin; another shape raises
             InvalidParameterError.
         grid: target grid.
-        min_captured: total captured mass below this raises TruncationError.
 
     Returns:
         DiscreteDistribution with renormalized masses and the captured
-        fraction recorded.
+        fraction recorded; a captured mass below 0.999 raises
+        TruncationError.
     """
-    check_real("min_captured", min_captured, 0, 1)
     j = grid.indices
     lo = (j - 0.5) * grid.width
     hi = (j + 0.5) * grid.width
@@ -198,10 +205,9 @@ def coarse_grain(
     # tiny negatives from cancellation in tail CDF differences
     masses = np.clip(masses, 0.0, None)
     captured = float(masses.sum())
-    if captured < min_captured:
+    if captured < 0.999:
         raise TruncationError(
-            f"grid captured only {captured:.6g} of the distribution "
-            f"(threshold {min_captured})",
+            f"grid captured only {captured:.6g} of the distribution (threshold 0.999)",
             captured_fraction=captured,
         )
     return DiscreteDistribution(grid, masses / captured, captured_fraction=captured)

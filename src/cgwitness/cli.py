@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import MAX_FACTOR
+from .binning import MAX_BINS, MAX_FACTOR
 from .bound import entropic_bound_constant
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError, check_real
 from .ingest import (
@@ -34,9 +34,6 @@ from .model import (
 from .witnesses import DATA_WITNESS_IDS, ErrorModel, sweep_grid, witness_grid
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
-
-#: Largest marginal grid demo-false-positive builds: ~70 MB and ~0.7 s of work.
-MAX_DEMO_BINS = 1_000_000
 
 #: Largest bound-table: ~0.075 ms per value (one 32-node Nystrom eigensolve),
 #: so at most ~7.5 s of work.
@@ -112,38 +109,26 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if v is True or v is False:
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _emit_rows(rows, columns, fmt, output, *, sections=None) -> None:
     """Write rows of dicts as CSV (with optional labeled sections) or JSON."""
     if fmt == "json":
-        if sections is not None:
-            payload = sections
-        else:
-            payload = {"rows": rows}
+        payload = {"rows": rows} if sections is None else sections
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
         return
     lines = []
-    def emit_section(name, section_rows):
+    for name, section_rows in ({None: rows} if sections is None else sections).items():
         if name is not None:
             lines.append(f"# {name}")
         lines.append(",".join(columns))
-        for row in section_rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                if v is None:
-                    cells.append("")
-                elif v is True or v is False:
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-    if sections is not None:
-        for name, section_rows in sections.items():
-            emit_section(name, section_rows)
-    else:
-        emit_section(None, rows)
+        lines += [",".join(_csv_cell(row[col]) for col in columns) for row in section_rows]
     _write_output("\n".join(lines) + "\n", output)
 
 
@@ -224,12 +209,12 @@ def cmd_sweep(args) -> int:
 def cmd_demo_false_positive(args) -> int:
     check_real("--multiplier", args.multiplier, 0, closed=False)
     # each marginal grid spans +/- SPAN_SIGMAS standard deviations in bins of
-    # width 2*multiplier standard deviations: ~SPAN_SIGMAS/multiplier bins
-    if SPAN_SIGMAS / args.multiplier > MAX_DEMO_BINS:
+    # width 2*multiplier standard deviations: at most SPAN_SIGMAS/multiplier + 2 bins
+    if SPAN_SIGMAS / args.multiplier + 2 > MAX_BINS:
         raise ConfigurationError(
             f"--multiplier {args.multiplier} needs ~{SPAN_SIGMAS / args.multiplier:.3g} "
-            f"bins per marginal (limit {MAX_DEMO_BINS}); "
-            f"use --multiplier >= {SPAN_SIGMAS / MAX_DEMO_BINS:g}"
+            f"bins per marginal (limit {MAX_BINS}); "
+            f"use --multiplier >= {SPAN_SIGMAS / (MAX_BINS - 2):g}"
         )
     # equal widths make the state separable: the demonstration is about false positives
     state = GaussianTwoPhotonState(args.sigma, args.sigma)

@@ -86,8 +86,8 @@ def check_real(
     raise InvalidParameterError(f"{name} must be {want}, got {v!r}")
 
 
-def check_int(name: str, v, low: int = -(2**63), high: int = 2**63 - 1) -> int:
-    """v as an int in [low, high], by default the int64 range of numpy's indices.
+def check_int(name: str, v, low: int, high: int) -> int:
+    """v as an int in [low, high].
 
     Python and numpy ints pass; bools and non-integers raise InvalidParameterError.
     """

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import MAX_COUNT, BinGrid, CountHistogram, frozen_counts
+from .binning import MAX_COUNT, MAX_INDEX, BinGrid, CountHistogram, frozen_counts
 from .errors import ConfigurationError, InvalidParameterError, ParseError, check_int, check_real
 
 _GEOMETRY_KEYS = (
@@ -76,7 +76,8 @@ class JointCounts:
 
     counts[row, col] is the count with detector 1 at index i0+row and
     detector 2 at index j0+col; physical scan positions are index*step.
-    By default the scan origin is the grid center.
+    By default the scan origin is the grid center. Indices lie within
+    +/-MAX_INDEX/2, so every i + j and i - j is a valid bin index.
     """
 
     variable_pair: str
@@ -97,9 +98,10 @@ class JointCounts:
             raise InvalidParameterError("counts must be a non-empty 2-D array")
         c = frozen_counts(c)
         object.__setattr__(self, "counts", c)
+        half = MAX_INDEX // 2
         for key, length in zip(("i0", "j0"), c.shape):
             v = getattr(self, key)
-            v = -((length - 1) // 2) if v is None else check_int(key, v)
+            v = -((length - 1) // 2) if v is None else check_int(key, v, -half, half - length + 1)
             object.__setattr__(self, key, v)
 
     @property
@@ -173,40 +175,48 @@ def load_joint_counts(path) -> JointCounts:
     malformed headers, text that is not UTF-8, non-integer or negative
     counts, counts above the int64 range, and ragged rows.
 
-    The count block after the leading headers is read by one np.loadtxt
-    call. A block that it refuses, or that fails a check, is read again
-    line by line with the rest of the file; only that line reader raises
-    line-numbered errors, so they are the same on either path.
+    The header is read once. The count block after it is read by one
+    np.loadtxt call, and again line by line if that call refuses it or it
+    fails a check; only the line reader raises errors on counts, so they
+    are the same on either path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    start = _data_start(data)
-    counts = None if start is None else _loadtxt_counts(data[start:])
+    header, start, lineno = _read_header(data)
+    counts = _loadtxt_counts(data[start:])
     if counts is None:
-        header, rows = _parse_lines(data)
-        counts = np.array(rows, dtype=np.int64)
-    else:
-        header, _ = _parse_lines(data[:start])
+        counts = np.array(_parse_rows(data[start:], lineno), dtype=np.int64)
     del data  # free the file before JointCounts copies the counts
     return _joint_counts(header, counts)
 
 
-def _data_start(data: bytes) -> int | None:
-    """Byte offset of the first data line, or None if there is none.
+def _decoded(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise ParseError("line is not UTF-8 text", line_number=lineno) from None
 
-    Lines are told apart by the rules of _parse_lines; a line that is not
-    UTF-8 before any data also gives None, so that parser reports it.
+
+def _read_header(data: bytes) -> tuple[dict[str, str], int, int]:
+    """Header of a scan file, then the byte offset and line number of its first data line.
+
+    Header lines start with "#"; blank lines are skipped. Without a data
+    line the offset is len(data).
     """
-    offset = 0
-    for raw in data.splitlines(keepends=True):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            return None
-        if line and not line.startswith("#"):
-            return offset
+    header: dict[str, str] = {}
+    offset = lineno = 0
+    # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        line = _decoded(raw, lineno)
+        if line.startswith("#"):
+            key, sep, value = line.lstrip("#").strip().partition("=")
+            if not sep:
+                raise ParseError(f"malformed header {line!r}", line_number=lineno)
+            header[key.strip()] = value.strip()
+        elif line:
+            return header, offset, lineno
         offset += len(raw)
-    return None
+    return header, offset, lineno + 1
 
 
 def _loadtxt_counts(block: bytes) -> np.ndarray | None:
@@ -218,9 +228,10 @@ def _loadtxt_counts(block: bytes) -> np.ndarray | None:
     loadtxt skips as whitespace where int() refuses them. BytesIO splits
     lines at LF alone and loadtxt rejects a CR inside a line, so CR-only
     line endings fall back, as do "1_000" and values beyond int64. Negative
-    counts are left to _parse_lines, for its line number.
+    counts are left to _parse_rows, for its line number, and an empty
+    block to _joint_counts.
     """
-    if any(byte in block for byte in b"#\x1c\x1d\x1e\x1f"):
+    if not block or any(byte in block for byte in b"#\x1c\x1d\x1e\x1f"):
         return None
     try:
         counts = np.loadtxt(
@@ -233,28 +244,16 @@ def _loadtxt_counts(block: bytes) -> np.ndarray | None:
     return counts
 
 
-def _parse_lines(data: bytes) -> tuple[dict[str, str], list[list[int]]]:
-    """Header and count rows of a scan file, one line at a time."""
-    header: dict[str, str] = {}
+def _parse_rows(block: bytes, first_lineno: int) -> list[list[int]]:
+    """Count rows of the data lines of a scan file, one line at a time."""
     rows: list[list[int]] = []
     row_len = None
-    # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            raise ParseError("line is not UTF-8 text", line_number=lineno) from None
+    for lineno, raw in enumerate(block.splitlines(), start=first_lineno):
+        line = _decoded(raw, lineno)
         if not line:
             continue
         if line.startswith("#"):
-            if rows:
-                raise ParseError("header line after data", line_number=lineno)
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition("=")
-            if not sep:
-                raise ParseError(f"malformed header {line!r}", line_number=lineno)
-            header[key.strip()] = value.strip()
-            continue
+            raise ParseError("header line after data", line_number=lineno)
         try:
             row = [int(tok) for tok in line.split(",")]
         except ValueError:
@@ -271,7 +270,7 @@ def _parse_lines(data: bytes) -> tuple[dict[str, str], list[list[int]]]:
                 line_number=lineno,
             )
         rows.append(row)
-    return header, rows
+    return rows
 
 
 def _joint_counts(header: dict[str, str], counts: np.ndarray) -> JointCounts:
@@ -285,27 +284,23 @@ def _joint_counts(header: dict[str, str], counts: np.ndarray) -> JointCounts:
     if pair not in ("position", "momentum"):
         raise ParseError(f"unknown variable_pair {pair!r}")
 
-    def _float(key: str) -> float:
+    def number(key: str, kind=float):
         try:
-            return float(header[key])
+            return kind(header[key]) if key in header else None
         except ValueError:
-            raise ParseError(f"header key {key!r} is not a number") from None
-
-    def _int(key: str) -> int:
-        try:
-            return int(header[key])
-        except ValueError:
-            raise ParseError(f"header key {key!r} is not an integer") from None
+            raise ParseError(
+                f"header key {key!r} is not {'a number' if kind is float else 'an integer'}"
+            ) from None
 
     try:
-        geometry = OpticalGeometry(**{key: _float(key) for key in _GEOMETRY_KEYS})
+        geometry = OpticalGeometry(**{key: number(key) for key in _GEOMETRY_KEYS})
         return JointCounts(
             variable_pair=pair,
-            step=_float("step_mm"),
+            step=number("step_mm"),
             counts=counts,
             geometry=geometry,
-            i0=_int("i0") if "i0" in header else None,
-            j0=_int("j0") if "j0" in header else None,
+            i0=number("i0", int),
+            j0=number("j0", int),
         )
     except InvalidParameterError as exc:
         raise ParseError(str(exc)) from exc

@@ -176,14 +176,10 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
             f"a {side} x {side} detector square exceeds the limit of "
             f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
         )
-    wide = BinGrid(width, -3 * n, 3 * n)
-    r_sum = coarse_grain(
-        bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std)), wide, min_captured=0.0
-    )
-    r_diff = coarse_grain(
-        bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std)), wide, min_captured=0.0
-    )
-    ms, md = r_sum.masses * r_sum.captured_fraction, r_diff.masses * r_diff.captured_fraction
+    j = np.arange(-3 * n, 3 * n + 1)
+    lo, hi = (j - 0.5) * width, (j + 0.5) * width
+    ms = bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std))(lo, hi)
+    md = bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std))(lo, hi)
     # cell (i, j) reads ms[i + j + 3n] and md[i - j + 3n]: row i + n of a
     # sliding window over ms[n:], and row n - i of one over md reversed
     sums = sliding_window_view(ms[n:], side)[:side]

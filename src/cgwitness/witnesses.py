@@ -29,7 +29,8 @@ each marginal is reduced once to (B,) variances and entropies (`_reduce`;
 the point estimate is the B = 1 row of its exact masses, `_point_stats`),
 ln C is tabulated once per distinct width product (`_log_bound_table`),
 and `_combine`, the one definition of each witness formula, broadcasts
-them over (R, S, B).
+them over (R, S, B). `_witness_values` takes those to (R, S) values or
+standard errors and refuses any that is not finite, the one such check.
 
 Errors. Counts fluctuate Poisson-wise and the slit micrometers place each
 bin center only to finite precision, so `sweep_grid` with an ErrorModel
@@ -89,6 +90,10 @@ MIN_REPLICATES = 100
 #: Largest replicate count: the default sweep needs ~8 KB per replicate
 #: (121 MB peak at 10^4), so this stays near 1 GB.
 MAX_REPLICATES = 100_000
+
+#: Both evaluators run under this: overflow and inf - inf leave values that
+#: _witness_values refuses, so numpy need not warn of them.
+_NONFINITE_SILENT = np.errstate(over="ignore", invalid="ignore")
 
 
 def corrected_variance(variance, width: float):
@@ -225,6 +230,32 @@ def _combine(witness_id: str, r_stats, s_stats, log_bound) -> np.ndarray:
     return x_r * x_s - 1.0
 
 
+def _witness_values(witness_ids, r_stats, s_stats, log_bound, keep=None) -> dict[str, np.ndarray]:
+    """{witness_id: (R, S) array} on every pair of r_stats and s_stats.
+
+    Without keep, the values of one point each; with keep, an (R, S, B) mask
+    of replicates, their ddof=1 standard deviations over the kept ones. An
+    entry that is not finite raises InvalidParameterError.
+    """
+    out = {}
+    for witness_id in witness_ids:
+        values = _combine(witness_id, r_stats, s_stats, log_bound)
+        if keep is None:
+            values = values[:, :, 0]
+        else:  # ddof=1 standard deviation over the kept replicates
+            k = keep.sum(axis=-1)
+            mean = np.where(keep, values, 0.0).sum(axis=-1) / k
+            dev = np.where(keep, values - mean[..., None], 0.0)
+            values = np.sqrt((dev * dev).sum(axis=-1) / (k - 1))
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            what = "" if keep is None else " as a standard error"
+            raise InvalidParameterError(f"witness value must be finite, got {bad[0]}{what}")
+        out[witness_id] = values
+    return out
+
+
+@_NONFINITE_SILENT
 def witness_grid(r, s, witness_ids=DATA_WITNESS_IDS) -> dict[str, np.ndarray]:
     """Data witness values on every pair of binned marginals.
 
@@ -246,19 +277,10 @@ def witness_grid(r, s, witness_ids=DATA_WITNESS_IDS) -> dict[str, np.ndarray]:
                 f"marginals must be DiscreteDistributions, got {type(d).__name__}"
             )
     need_variance, need_entropy = _needs(witness_ids)
-    out = {}
-    # overflow and inf - inf become the non-finite values refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_stats = [_point_stats(d, need_variance, need_entropy) for d in r]
-        s_stats = [_point_stats(d, need_variance, need_entropy) for d in s]
-        log_bound = _log_bound_table(r_stats, s_stats) if need_entropy else None
-        for witness_id in witness_ids:
-            values = _combine(witness_id, r_stats, s_stats, log_bound)[:, :, 0]
-            bad = values[~np.isfinite(values)]
-            if bad.size:
-                raise InvalidParameterError(f"witness value must be finite, got {bad[0]}")
-            out[witness_id] = values
-    return out
+    r_stats = [_point_stats(d, need_variance, need_entropy) for d in r]
+    s_stats = [_point_stats(d, need_variance, need_entropy) for d in s]
+    log_bound = _log_bound_table(r_stats, s_stats) if need_entropy else None
+    return _witness_values(witness_ids, r_stats, s_stats, log_bound)
 
 
 @dataclass(frozen=True)
@@ -294,14 +316,7 @@ def _stream(root: SeedSequence, key: tuple) -> Generator:
     return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
 
 
-def _kept_std(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """ddof=1 standard deviation along the last axis over the kept entries."""
-    k = keep.sum(axis=-1)
-    mean = np.where(keep, values, 0.0).sum(axis=-1) / k
-    dev = np.where(keep, values - mean[..., None], 0.0)
-    return np.sqrt((dev * dev).sum(axis=-1) / (k - 1))
-
-
+@_NONFINITE_SILENT
 def sweep_grid(
     position: JointCounts,
     momentum: JointCounts,
@@ -326,7 +341,8 @@ def sweep_grid(
     two geometries, a pairing outside PAIRINGS or a witness_id outside
     DATA_WITNESS_IDS raise ConfigurationError; an even or non-positive
     factor, or one above binning.MAX_FACTOR, raises InvalidParameterError
-    (from binning.rebin). Deterministic for a fixed ErrorModel.seed.
+    (from binning.rebin), as does a value or uncertainty that is not
+    finite. Deterministic for a fixed ErrorModel.seed.
     """
     if position.variable_pair != "position":
         raise ConfigurationError("first scan must have variable_pair=position")
@@ -387,10 +403,10 @@ def sweep_grid(
                     f"counts at n={n_list[i]}, m={m_list[j]}, pairing {pairing}; "
                     "data too sparse for Monte Carlo propagation"
                 )
+        values = _witness_values(witness_ids, r_point, s_point, log_bound)
+        errors = dict.fromkeys(witness_ids)
+        if em is not None:
+            errors = _witness_values(witness_ids, r_reps, s_reps, log_bound, keep)
         for witness_id in witness_ids:
-            values = _combine(witness_id, r_point, s_point, log_bound)[:, :, 0]
-            uncertainties = None
-            if em is not None:
-                uncertainties = _kept_std(_combine(witness_id, r_reps, s_reps, log_bound), keep)
-            out[pairing, witness_id] = (values, uncertainties)
+            out[pairing, witness_id] = (values[witness_id], errors[witness_id])
     return out

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from cgwitness import MarginalSpec, bin_mass_oracle
 from cgwitness.binning import (
+    MAX_BINS,
     MAX_FACTOR,
+    MAX_INDEX,
     BinGrid,
     CountHistogram,
     DiscreteDistribution,
@@ -57,6 +61,25 @@ class TestBinGrid:
             BinGrid(-1.0, 0, 1)
         with pytest.raises(InvalidParameterError):
             BinGrid(1.0, 2, 1)
+
+    def test_index_and_bin_count_limits(self):
+        assert BinGrid(1.0, -MAX_INDEX, -MAX_INDEX).n_bins == 1
+        assert BinGrid(1.0, MAX_INDEX - MAX_BINS + 1, MAX_INDEX).n_bins == MAX_BINS
+        for j_min, j_max in [(-MAX_INDEX - 1, 0), (0, MAX_INDEX + 1), (0, MAX_BINS), (-(2**70), 2**70)]:
+            with pytest.raises(InvalidParameterError, match="at most|too many bins"):
+                BinGrid(1.0, j_min, j_max)
+
+    @pytest.mark.parametrize(
+        "width,lo,hi",
+        [(1e-12, -9.0, 9.0), (1.0, -1e300, 1e300), (1.0, -math.inf, 0.0), (1e-300, 0.0, 1e10)],
+    )
+    def test_spanning_refuses_too_many_bins_up_front(self, width, lo, hi):
+        with pytest.raises(InvalidParameterError, match="too many bins"):
+            BinGrid.spanning(width, lo, hi)
+
+    def test_spanning_far_from_the_origin_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="j_min must be at most"):
+            BinGrid.spanning(1.0, 1e300, 1e300)
 
 
 class TestCoarseGrain:
@@ -133,6 +156,17 @@ class TestRebin:
             rebin(h, 2**70 + 1)
         with pytest.raises(InvalidParameterError, match="at most"):
             rebin(h, MAX_FACTOR + 2)
+
+    @pytest.mark.parametrize("j_min", [-MAX_INDEX, MAX_INDEX - 2])
+    def test_largest_factor_at_the_index_limits(self, j_min):
+        # (j + half) stays inside int64 for every index a grid may hold
+        h = CountHistogram(BinGrid(1.0, j_min, j_min + 2), np.array([1, 2, 3]))
+        assert rebin(h, MAX_FACTOR).total == 6
+
+    def test_indices_near_int64_are_refused(self):
+        # (j + half) // factor would leave int64 on these indices
+        with pytest.raises(InvalidParameterError, match="j_min must be at most"):
+            rebin(CountHistogram(BinGrid(1.0, 2**63 - 3, 2**63 - 1), np.ones(3, dtype=np.int64)), 3)
 
     @pytest.mark.parametrize("factor", [1, 3])
     def test_rejects_anything_but_a_count_histogram(self, factor):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,11 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "--multiplier" in proc.stderr
 
+    def test_multiplier_at_the_bin_limit_names_the_flag(self, capsys):
+        # 9e-6 asks for a grid of 1_000_001 bins, one above binning.MAX_BINS
+        assert main(["demo-false-positive", "--multiplier", "9e-6", "--analytic"]) == 2
+        assert "--multiplier 9e-06 needs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("multiplier", ["1e150", "1e200"])
     def test_overflowing_multiplier_exits_2_without_traceback(self, multiplier):
         # bins this wide overflow the corrected variances to inf
@@ -394,6 +400,36 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: witness value must be finite, got inf\n"
+
+    @pytest.fixture
+    def overflowing_scans(self, tmp_path):
+        """A scan pair whose position bins, ~5e199 wide, overflow every witness value."""
+        paths = []
+        for path in _simulate(tmp_path):
+            text = path.read_text()
+            assert "# s_x_mm=0.05\n" in text
+            path.write_text(text.replace("# s_x_mm=0.05\n", "# s_x_mm=1e200\n"))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("errors", ["on", "off"])
+    def test_non_finite_sweep_value_exits_2_without_warning(
+        self, overflowing_scans, capsys, errors, fmt
+    ):
+        # a nan value would print as nan (CSV) or NaN, which is not valid JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", *overflowing_scans, "--errors", errors, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: witness value must be finite, got nan\n"
+
+    def test_non_finite_sweep_value_exits_2_under_w_error(self, overflowing_scans):
+        proc = _run_python("-W", "error", "-m", "cgwitness", "sweep", *overflowing_scans)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: witness value must be finite, got nan\n"
 
     @pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max"])
     def test_infinite_gamma_exits_2_without_warning(self, flag):

@@ -17,6 +17,7 @@ from cgwitness import (
     save_joint_counts,
 )
 from cgwitness import ingest
+from cgwitness.binning import MAX_INDEX
 from cgwitness.errors import ConfigurationError, InvalidParameterError, ParseError
 
 
@@ -126,6 +127,19 @@ class TestJointCounts:
         # True would save as "# step_mm=1.0"
         with pytest.raises(InvalidParameterError, match="step must be a finite positive number"):
             JointCounts("position", step, np.ones((2, 2), dtype=np.int64), geometry)
+
+    def test_origins_keep_every_sum_and_difference_index_in_range(self, geometry):
+        # i + j and i - j of these origins would wrap in int64
+        ones = np.ones((2, 2), dtype=np.int64)
+        with pytest.raises(InvalidParameterError, match="i0 must be at most"):
+            JointCounts("position", 0.05, ones, geometry, i0=2**63 - 1, j0=2**63 - 1)
+        half = MAX_INDEX // 2
+        jc = JointCounts("position", 0.05, ones, geometry, i0=half - 1, j0=-half)
+        assert global_marginal(jc, "+").grid.j_max == 1
+        assert global_marginal(jc, "-").grid.j_max == MAX_INDEX
+        for origins in ({"i0": half}, {"j0": -half - 1}):
+            with pytest.raises(InvalidParameterError, match="must be at most"):
+                JointCounts("position", 0.05, ones, geometry, **origins)
 
     def test_numpy_integer_origins_accepted(self, geometry):
         jc = JointCounts("position", 0.05, np.ones((2, 2), dtype=np.int64), geometry, np.int64(-4), np.int32(3))
@@ -377,11 +391,12 @@ def _outcome(load):
 
 
 def _assert_paths_agree(path, data):
-    """load_joint_counts (fast path + fallback) against the line parser alone."""
+    """load_joint_counts (fast path + fallback) against the line reader alone."""
     path.write_bytes(data)
 
     def line_by_line():
-        header, rows = ingest._parse_lines(data)
+        header, start, lineno = ingest._read_header(data)
+        rows = ingest._parse_rows(data[start:], lineno)
         return ingest._joint_counts(header, np.array(rows, dtype=np.int64))
 
     assert _outcome(lambda: load_joint_counts(path)) == _outcome(line_by_line)
@@ -489,7 +504,8 @@ class TestIngestPaths:
         jc = sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=5)
         save_joint_counts(jc, tmp_path / "scan.txt")
         data = (tmp_path / "scan.txt").read_bytes()
-        counts = ingest._loadtxt_counts(data[ingest._data_start(data):])
+        _, start, _ = ingest._read_header(data)
+        counts = ingest._loadtxt_counts(data[start:])
         np.testing.assert_array_equal(counts, jc.counts)
 
     @pytest.mark.parametrize(

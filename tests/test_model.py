@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cgwitness import (
     sample_marginal_counts,
 )
 from cgwitness import model
-from cgwitness.binning import BinGrid, coarse_grain
+from cgwitness.binning import BinGrid
 from cgwitness.errors import InvalidParameterError
 from cgwitness.model import MAX_EXPECTED_COUNTS
 
@@ -105,6 +106,22 @@ class TestCoarseGrainedMarginal:
             coarse_grained_marginal(m, width)
         with pytest.raises(InvalidParameterError, match="bin width|too many bins"):
             sample_marginal_counts(m, width, 1e4, 0)
+
+    def test_too_many_bins_refused_before_allocation(self):
+        # width 1e-12 spans ~1.8e13 bins: refused before np.arange runs
+        m = MarginalSpec("x+", 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: coarse_grained_marginal(m, 1e-12),
+                lambda: sample_marginal_counts(m, 1e-12, 1e4, 0),
+            ):
+                with pytest.raises(InvalidParameterError, match="too many bins"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSampling:
@@ -216,11 +233,10 @@ class TestSampling:
     def test_plan_cells_match_the_index_formula(self, stds_width):
         sum_std, diff_std, width = stds_width
         n, cells, _ = model._plan_square(sum_std, diff_std, width)
-        wide = BinGrid(width, -3 * n, 3 * n)
+        j = BinGrid(width, -3 * n, 3 * n).indices
 
         def masses(name, std):
-            d = coarse_grain(bin_mass_oracle(MarginalSpec(name, 0.0, std)), wide, min_captured=0.0)
-            return d.masses * d.captured_fraction
+            return bin_mass_oracle(MarginalSpec(name, 0.0, std))((j - 0.5) * width, (j + 0.5) * width)
 
         ms, md = masses("x+", sum_std), masses("x-", diff_std)
         idx = np.arange(-n, n + 1)

@@ -19,7 +19,6 @@ from cgwitness import (
     JointCounts,
     MarginalSpec,
     OpticalGeometry,
-    bin_mass_oracle,
     coarse_grain,
     coarse_grained_marginal,
     concentration_eigenvalue,
@@ -62,6 +61,7 @@ REMOVED = (
 REMOVED_PARAMETERS = (
     (coarse_grained_marginal, ("span_sigmas", "min_captured")),
     (sample_marginal_counts, ("span_sigmas", "min_captured")),
+    (coarse_grain, ("min_captured",)),
 )
 
 
@@ -92,12 +92,6 @@ SCALAR_ARGUMENTS = [
     ("ErrorModel.replicates", lambda v: ErrorModel(replicates=v), 100, ()),
     ("ErrorModel.seed", lambda v: ErrorModel(seed=v), 3, ("none", "beyond_float")),
     ("rebin.factor", lambda v: rebin(_HIST, v), 3, ()),
-    (
-        "coarse_grain.min_captured",
-        lambda v: coarse_grain(bin_mass_oracle(_SPEC), BinGrid(1.0, -9, 9), min_captured=v),
-        0,
-        ("half",),
-    ),
     ("coarse_grained_marginal.width", lambda v: coarse_grained_marginal(_SPEC, v), 1, ("half",)),
     (
         "sample_marginal_counts.width",
@@ -174,6 +168,21 @@ def _scalar_checks_outside_errors(path: Path) -> list[str]:
         ):
             found.append(f"line {node.lineno}: isinstance(..., bool)")
     return found
+
+
+def _functions_raising(path: Path, message: str) -> list[str]:
+    """Names of the functions in path that raise an exception whose text holds message."""
+    return [
+        fn.name
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
+            for raise_ in ast.walk(fn)
+            if isinstance(raise_, ast.Raise)
+            for node in ast.walk(raise_)
+        )
+    ]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -274,6 +283,23 @@ class TestImports:
             if (names := _scalar_checks_outside_errors(path))
         }
         assert found == {}
+
+    def test_one_owner_per_refusal_rule(self):
+        root = Path(cgwitness.__file__).parent
+        # witness_grid and sweep_grid share one finite-value check
+        assert _functions_raising(root / "witnesses.py", "witness value must be finite") == [
+            "_witness_values"
+        ]
+        # binning owns every bin-count limit; the demo's check reads binning.MAX_BINS
+        cli = ast.parse((root / "cli.py").read_text())
+        assigned = {
+            target.id
+            for node in cli.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        assert not {name for name in assigned if "BIN" in name}, assigned
 
     def test_no_private_cross_module_imports(self):
         root = Path(cgwitness.__file__).parent

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +104,25 @@ class TestWitnessPipeline:
             sweep_grid(*scans, [2], [1])
         with pytest.raises(InvalidParameterError):
             sweep_grid(*scans, [1], [0])
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            # position bins ~5e199 wide overflow every moment and corrected variance
+            ("s_x_mm", 1e200, "witness value must be finite, got nan$"),
+            # center jitter of ~1e300 overflows the replicate moments only
+            ("micrometer_step_mm", 1e300, "got nan as a standard error"),
+        ],
+    )
+    def test_non_finite_values_are_refused_without_warning(self, scans, field, value, message):
+        geometry = dataclasses.replace(scans[0].geometry, **{field: value})
+        pos, mom = (JointCounts(jc.variable_pair, jc.step, jc.counts, geometry) for jc in scans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=message):
+                sweep_grid(pos, mom, [1, 3], [1], ErrorModel(replicates=100))
+            if field == "micrometer_step_mm":  # the point values stay finite
+                sweep_grid(pos, mom, [1, 3], [1])
 
     def test_rejects_factor_beyond_int64(self, scans):
         with pytest.raises(InvalidParameterError, match="at most"):
