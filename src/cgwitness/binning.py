@@ -213,24 +213,30 @@ def coarse_grain(bin_mass_oracle: BinMassOracle, grid: BinGrid) -> DiscreteDistr
     return DiscreteDistribution(grid, masses / captured, captured_fraction=captured)
 
 
+def check_factor(name: str, v) -> int:
+    """v as an odd int in [1, MAX_FACTOR]: only odd factors keep a bin centered at 0."""
+    factor = check_int(name, v, 1, MAX_FACTOR)
+    if factor % 2 == 0:
+        raise InvalidParameterError(f"{name} must be odd, got {factor}")
+    return factor
+
+
 def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     """Merge runs of `factor` adjacent bins, keeping a bin centered at 0.
 
-    Only odd factors keep the central bin centered on the origin, so even
-    factors are rejected. Input bins are conceptually zero-padded (never
-    trimmed) to complete the outermost groups; totals are conserved exactly.
+    Input bins are conceptually zero-padded (never trimmed) to complete the
+    outermost groups; totals are conserved exactly.
 
     Args:
         h: CountHistogram.
-        factor: odd positive merge factor, at most MAX_FACTOR.
+        factor: merge factor, refused unless check_factor passes it.
 
     Returns:
         A CountHistogram on a grid of width factor * width.
     """
     if not isinstance(h, CountHistogram):
         raise InvalidParameterError(f"rebin needs a CountHistogram, got {type(h).__name__}")
-    if check_int("rebin factor", factor, 1, MAX_FACTOR) % 2 == 0:
-        raise InvalidParameterError(f"rebin factor must be odd, got {factor}")
+    factor = check_factor("rebin factor", factor)
     if factor == 1:
         return h
     half = (factor - 1) // 2

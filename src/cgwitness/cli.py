@@ -9,15 +9,23 @@ parse/configuration errors, 3 numerical (convergence/propagation) failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .binning import MAX_BINS, MAX_FACTOR
+from .binning import MAX_BINS, check_factor
 from .bound import entropic_bound_constant
-from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, ConfigurationError, check_real
+from .errors import (
+    NUMERICAL_ERRORS,
+    USAGE_ERRORS,
+    ConfigurationError,
+    InvalidParameterError,
+    check_real,
+    check_seed,
+)
 from .ingest import (
     OpticalGeometry,
     load_joint_counts,
@@ -31,17 +39,13 @@ from .model import (
     sample_joint_counts,
     sample_marginal_counts,
 )
-from .witnesses import DATA_WITNESS_IDS, ErrorModel, sweep_grid, witness_grid
+from .witnesses import DATA_WITNESS_IDS, PAIRINGS, ErrorModel, sweep_grid, witness_grid
 
 DEFAULT_FACTORS = "1,3,5,7,9,11,13,15,17,19,21"
 
 #: Largest bound-table: ~0.075 ms per value (one 32-node Nystrom eigensolve),
 #: so at most ~7.5 s of work.
 MAX_TABLE_POINTS = 100_000
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % x
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -59,10 +63,7 @@ def _parse_factor_list(spec: str, flag: str) -> list[int]:
     if not values:
         raise ConfigurationError(f"{flag} must not be empty")
     for v in values:
-        if v < 1 or v % 2 == 0:
-            raise ConfigurationError(f"{flag} entries must be odd positive integers, got {v}")
-        if v > MAX_FACTOR:
-            raise ConfigurationError(f"{flag} entries must be at most {MAX_FACTOR}, got {v}")
+        check_factor(f"{flag} entry", v)
     _refuse_duplicates(values, flag)
     return values
 
@@ -74,23 +75,16 @@ def _refuse_duplicates(values: list, flag: str) -> None:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: np.random.SeedSequence rejects negative seeds."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    """argparse type of --seed: errors.check_seed, with the refusal naming --seed."""
+    try:
+        return check_seed(int(text))
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _geometry_from_args(args) -> OpticalGeometry:
-    return OpticalGeometry(
-        f1_mm=args.f1_mm,
-        f2_mm=args.f2_mm,
-        f3_mm=args.f3_mm,
-        lambda_mm=args.lambda_mm,
-        s_x_mm=args.s_x_mm,
-        s_p_mm=args.s_p_mm,
-        micrometer_step_mm=args.micrometer_step_mm,
-    )
+    keys = [f.name for f in dataclasses.fields(OpticalGeometry)]
+    return OpticalGeometry(**{key: getattr(args, key) for key in keys})
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -114,7 +108,7 @@ def _csv_cell(v) -> str:
         return ""
     if v is True or v is False:
         return "true" if v else "false"
-    return _fmt(v) if isinstance(v, float) else str(v)
+    return "%.12g" % v if isinstance(v, float) else str(v)
 
 
 def _emit_rows(rows, columns, fmt, output, *, sections=None) -> None:
@@ -130,6 +124,11 @@ def _emit_rows(rows, columns, fmt, output, *, sections=None) -> None:
         lines.append(",".join(columns))
         lines += [",".join(_csv_cell(row[col]) for col in columns) for row in section_rows]
     _write_output("\n".join(lines) + "\n", output)
+
+
+def _detected(value: float, uncertainty: float | None = None, nsigma: float = 0.0) -> bool:
+    """The detection verdict: value + nsigma * uncertainty < 0, a missing uncertainty read as 0."""
+    return value + nsigma * (uncertainty or 0.0) < 0
 
 
 def cmd_simulate(args) -> int:
@@ -153,7 +152,7 @@ def cmd_sweep(args) -> int:
     momentum = load_joint_counts(args.momentum_file)
     n_list = _parse_factor_list(args.n_list, "--n-list")
     m_list = _parse_factor_list(args.m_list, "--m-list")
-    pairings = ["pm", "mp"] if args.pairing == "both" else [args.pairing]
+    pairings = list(PAIRINGS) if args.pairing == "both" else [args.pairing]
     witness_ids = [w.strip() for w in args.witnesses.split(",") if w.strip()]
     if not witness_ids:
         raise ConfigurationError("--witnesses must not be empty")
@@ -177,11 +176,7 @@ def cmd_sweep(args) -> int:
             for i, n in enumerate(n_list):
                 for j, m in enumerate(m_list):
                     value = float(values[i, j])
-                    if uncertainties is None:
-                        uncertainty, detected = None, value < 0
-                    else:
-                        uncertainty = float(uncertainties[i, j])
-                        detected = value + nsigma * uncertainty < 0
+                    uncertainty = None if uncertainties is None else float(uncertainties[i, j])
                     rows.append(
                         {
                             "n": n,
@@ -190,7 +185,7 @@ def cmd_sweep(args) -> int:
                             "witness_id": witness_id,
                             "value": value,
                             "uncertainty": uncertainty,
-                            "detected": detected,
+                            "detected": _detected(value, uncertainty, nsigma),
                         }
                     )
     rows.sort(key=lambda r: (r["witness_id"], r["pairing"], r["n"], r["m"]))
@@ -243,7 +238,7 @@ def cmd_demo_false_positive(args) -> int:
                 "width_r": r.grid.width,
                 "width_s": s.grid.width,
                 "value": value,
-                "detected": value < 0,
+                "detected": _detected(value),
                 "unsafe": witness_id == "naive_discrete",
             }
         )
@@ -267,10 +262,8 @@ def cmd_bound_table(args) -> int:
         if args.gamma_min < 0:
             raise ConfigurationError("--gamma-min must be nonnegative")
         grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
-    lines = ["gamma,C"]
-    for g in grid:
-        lines.append(f"{_fmt(float(g))},{_fmt(entropic_bound_constant(float(g)))}")
-    _write_output("\n".join(lines) + "\n", args.output)
+    rows = [{"gamma": float(g), "C": entropic_bound_constant(float(g))} for g in grid]
+    _emit_rows(rows, ["gamma", "C"], "csv", args.output)
     return 0
 
 
@@ -295,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("momentum_file")
     p_sweep.add_argument("--n-list", default=DEFAULT_FACTORS, help="odd position rebin factors")
     p_sweep.add_argument("--m-list", default=DEFAULT_FACTORS, help="odd momentum rebin factors")
-    p_sweep.add_argument("--pairing", choices=["pm", "mp", "both"], default="both")
+    p_sweep.add_argument("--pairing", choices=[*PAIRINGS, "both"], default="both")
     p_sweep.add_argument(
         "--witnesses",
         default=",".join(DATA_WITNESS_IDS),

@@ -1,18 +1,23 @@
-"""Joint coincidence-count ingest and detector-to-source unit conversion.
+"""Joint coincidence-count ingest and the optics of the two scan axes.
 
 A scan file is line-oriented text: "# key=value" header lines carrying the
 optical geometry, then one comma-separated row of nonnegative integers per
 detector-1 position. Diagonal sums of the count matrix give the binned
-sum/difference marginals on the base global-variable grid, whose width
-follows from the optics: 2*s_x*(f1/f2) for position scans and
-2*s_p*(2*pi/(f3*lambda)) for momentum scans.
+sum/difference marginals on the base global-variable grid.
+
+The scan axes are "position" and "momentum" (check_variable_pair). Their
+base bin widths (detector_to_source_scale) are 2*s_x*(f1/f2) and
+2*s_p*(2*pi/(f3*lambda)); the micrometer error of the center of a bin
+rebinned by f (bin_center_error) is step*sqrt(2) times f*(f1/f2) and
+2*f*pi/(f3*lambda).
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +25,14 @@ import numpy as np
 from .binning import MAX_COUNT, MAX_INDEX, BinGrid, CountHistogram, frozen_counts
 from .errors import ConfigurationError, InvalidParameterError, ParseError, check_int, check_real
 
-_GEOMETRY_KEYS = (
-    "f1_mm",
-    "f2_mm",
-    "f3_mm",
-    "lambda_mm",
-    "s_x_mm",
-    "s_p_mm",
-    "micrometer_step_mm",
-)
-_REQUIRED_KEYS = ("variable_pair", "step_mm") + _GEOMETRY_KEYS
+
+def check_variable_pair(variable_pair) -> str:
+    """variable_pair unchanged if it names a scan axis; otherwise InvalidParameterError."""
+    if variable_pair not in ("position", "momentum"):
+        raise InvalidParameterError(
+            f"variable_pair must be 'position' or 'momentum', got {variable_pair!r}"
+        )
+    return variable_pair
 
 
 @dataclass(frozen=True)
@@ -55,19 +58,19 @@ class OpticalGeometry:
             check_real(key, getattr(self, key), 0, closed=False)
 
 
+_GEOMETRY_KEYS = tuple(f.name for f in fields(OpticalGeometry))
+_REQUIRED_KEYS = ("variable_pair", "step_mm") + _GEOMETRY_KEYS
+
+
 def detector_to_source_scale(geometry: OpticalGeometry, variable_pair: str) -> float:
     """Width of the base global-variable bin implied by the optics.
 
     A detector cell of side w covers an interval of length 2w of the
     sum/difference coordinate, hence the leading factor 2.
     """
-    if variable_pair == "position":
+    if check_variable_pair(variable_pair) == "position":
         return 2.0 * geometry.s_x_mm * (geometry.f1_mm / geometry.f2_mm)
-    if variable_pair == "momentum":
-        return 2.0 * geometry.s_p_mm * (2.0 * math.pi / (geometry.f3_mm * geometry.lambda_mm))
-    raise InvalidParameterError(
-        f"variable_pair must be 'position' or 'momentum', got {variable_pair!r}"
-    )
+    return 2.0 * geometry.s_p_mm * (2.0 * math.pi / (geometry.f3_mm * geometry.lambda_mm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +91,7 @@ class JointCounts:
     j0: int | None = None
 
     def __post_init__(self):
-        if self.variable_pair not in ("position", "momentum"):
-            raise InvalidParameterError(
-                f"variable_pair must be 'position' or 'momentum', got {self.variable_pair!r}"
-            )
+        check_variable_pair(self.variable_pair)
         check_real("step", self.step, 0, closed=False)
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
@@ -107,6 +107,15 @@ class JointCounts:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+
+def bin_center_error(jc: JointCounts, factor: int) -> float:
+    """Center-placement error of a factor-wide bin of jc's scan (mm or 1/mm)."""
+    g = jc.geometry
+    step = g.micrometer_step_mm
+    if jc.variable_pair == "position":
+        return step * math.sqrt(2.0) * factor * (g.f1_mm / g.f2_mm)
+    return step * math.sqrt(2.0) * (2.0 * factor * math.pi / (g.f3_mm * g.lambda_mm))
 
 
 def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
@@ -197,17 +206,22 @@ def _decoded(raw: bytes, lineno: int) -> str:
         raise ParseError("line is not UTF-8 text", line_number=lineno) from None
 
 
+#: One line and its ending, which is \n, \r\n or \r as in text-mode reading.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
+
+
 def _read_header(data: bytes) -> tuple[dict[str, str], int, int]:
     """Header of a scan file, then the byte offset and line number of its first data line.
 
     Header lines start with "#"; blank lines are skipped. Without a data
-    line the offset is len(data).
+    line the offset is len(data). Lines are matched one at a time, so the
+    count block after the header is never copied.
     """
     header: dict[str, str] = {}
-    offset = lineno = 0
-    # bytes.splitlines breaks at \n, \r\n and \r, like text-mode reading
-    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
-        line = _decoded(raw, lineno)
+    offset = 0
+    # the last match is the empty one at len(data), one past the last line
+    for lineno, match in enumerate(_LINE.finditer(data), start=1):
+        line = _decoded(match[0], lineno)
         if line.startswith("#"):
             key, sep, value = line.lstrip("#").strip().partition("=")
             if not sep:
@@ -215,8 +229,8 @@ def _read_header(data: bytes) -> tuple[dict[str, str], int, int]:
             header[key.strip()] = value.strip()
         elif line:
             return header, offset, lineno
-        offset += len(raw)
-    return header, offset, lineno + 1
+        offset = match.end()
+    return header, offset, lineno
 
 
 def _loadtxt_counts(block: bytes) -> np.ndarray | None:
@@ -280,9 +294,6 @@ def _joint_counts(header: dict[str, str], counts: np.ndarray) -> JointCounts:
             raise ParseError(f"missing required header key {key!r}")
     if counts.size == 0:
         raise ParseError("file contains no count rows")
-    pair = header["variable_pair"]
-    if pair not in ("position", "momentum"):
-        raise ParseError(f"unknown variable_pair {pair!r}")
 
     def number(key: str, kind=float):
         try:
@@ -295,7 +306,7 @@ def _joint_counts(header: dict[str, str], counts: np.ndarray) -> JointCounts:
     try:
         geometry = OpticalGeometry(**{key: number(key) for key in _GEOMETRY_KEYS})
         return JointCounts(
-            variable_pair=pair,
+            variable_pair=header["variable_pair"],
             step=number("step_mm"),
             counts=counts,
             geometry=geometry,

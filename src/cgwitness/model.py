@@ -169,13 +169,15 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
     at least 1 - 2 P(|Z| > 3 sqrt 2) ~ 0.99996 of the joint mass. A square
     above MAX_DETECTOR_CELLS is refused before anything is allocated.
     """
-    n = math.ceil(3.0 * max(sum_std, diff_std) / width) + 1
-    side = 2 * n + 1
+    # floats until the limit passes: N is inf when the ratio overflows
+    n = float(np.ceil(3.0 * max(sum_std, diff_std) / width)) + 1.0
+    side = 2.0 * n + 1.0
     if side * side > MAX_DETECTOR_CELLS:
         raise InvalidParameterError(
-            f"a {side} x {side} detector square exceeds the limit of "
+            f"a {side:.6g} x {side:.6g} detector square exceeds the limit of "
             f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
         )
+    n, side = int(n), int(side)
     j = np.arange(-3 * n, 3 * n + 1)
     lo, hi = (j - 0.5) * width, (j + 0.5) * width
     ms = bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std))(lo, hi)
@@ -225,10 +227,7 @@ def sample_joint_counts(
     Returns:
         JointCounts with a centered (2N+1) x (2N+1) count matrix.
     """
-    if variable_pair not in ("position", "momentum"):
-        raise InvalidParameterError(
-            f"variable_pair must be 'position' or 'momentum', got {variable_pair!r}"
-        )
+    width = detector_to_source_scale(geometry, variable_pair)  # refuses an unknown pair
     check_real("total_expected_counts", total_expected_counts, 0, MAX_EXPECTED_COUNTS, closed=False)
     marg = exact_marginals(state)
     if variable_pair == "position":
@@ -237,7 +236,6 @@ def sample_joint_counts(
     else:
         sum_std, diff_std = marg.p_plus.std, marg.p_minus.std
         step = geometry.s_p_mm
-    width = detector_to_source_scale(geometry, variable_pair)
     if width > min(sum_std, diff_std):
         warnings.warn(
             "base bin width exceeds a marginal width; diagonal marginals of "

@@ -39,11 +39,8 @@ the witness over replicates that each resample the occupied bins of both
 marginals (exact: Poisson(0) always draws 0) and, with center_jitter, move
 every bin center by an independent Gaussian error. Jitter enters the
 moments only (the coordinates move, the widths do not), so entropic
-uncertainties are Poisson-only. The micrometer-step model for the center
-errors, at rebin factors (n, m):
-
-    sigma_position(n) = step * sqrt(2) * n * (f1/f2)
-    sigma_momentum(m) = step * sqrt(2) * (2*m*pi / (f3*lambda))
+uncertainties are Poisson-only. The center error of each rebinned bin is
+the micrometer-step model of its scan axis, ingest.bin_center_error.
 
 Random streams: the marginal of scan axis a (0 position, 1 momentum),
 diagonal sign s (0 '+', 1 '-') and rebin factor f draws its Poisson counts
@@ -72,7 +69,7 @@ from .errors import (
     check_int,
     check_seed,
 )
-from .ingest import JointCounts, ensure_matching_geometry, global_marginal
+from .ingest import JointCounts, bin_center_error, ensure_matching_geometry, global_marginal
 
 #: Witnesses that can be evaluated from binned count data alone.
 DATA_WITNESS_IDS = ("coarse_variance", "coarse_entropic", "naive_discrete")
@@ -303,15 +300,6 @@ class ErrorModel:
         check_seed(self.seed)
 
 
-def _center_sigma(jc: JointCounts, factor: int) -> float:
-    """Center-placement error of a factor-wide bin of jc's scan (mm or 1/mm)."""
-    g = jc.geometry
-    step = g.micrometer_step_mm
-    if jc.variable_pair == "position":
-        return step * math.sqrt(2.0) * factor * (g.f1_mm / g.f2_mm)
-    return step * math.sqrt(2.0) * (2.0 * factor * math.pi / (g.f3_mm * g.lambda_mm))
-
-
 def _stream(root: SeedSequence, key: tuple) -> Generator:
     return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
 
@@ -339,10 +327,10 @@ def sweep_grid(
     total. A cell that discards more than 10% of its replicates raises
     PropagationError. An empty n_list or m_list, swapped scans, scans of
     two geometries, a pairing outside PAIRINGS or a witness_id outside
-    DATA_WITNESS_IDS raise ConfigurationError; an even or non-positive
-    factor, or one above binning.MAX_FACTOR, raises InvalidParameterError
-    (from binning.rebin), as does a value or uncertainty that is not
-    finite. Deterministic for a fixed ErrorModel.seed.
+    DATA_WITNESS_IDS raise ConfigurationError; a factor that
+    binning.check_factor refuses raises InvalidParameterError, as does a
+    value or uncertainty that is not finite. Deterministic for a fixed
+    ErrorModel.seed.
     """
     if position.variable_pair != "position":
         raise ConfigurationError("first scan must have variable_pair=position")
@@ -374,7 +362,7 @@ def sweep_grid(
             shape = (em.replicates, counts.size)
             draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=shape)
             if need_variance and em.center_jitter:
-                sigma = _center_sigma(jc, f)
+                sigma = bin_center_error(jc, f)
                 centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(0.0, sigma, shape)
             weights = draws.astype(np.float64)
             replicates.append(_reduce(h.grid.width, weights, centers, need_variance, need_entropy))

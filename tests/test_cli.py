@@ -497,6 +497,26 @@ class TestExitCodes:
         assert main(["simulate", flag, value, "--output-prefix", str(tmp_path / "scan")]) == 2
         assert "detector square" in capsys.readouterr().err
 
+    # a side near 1e300 must not print as a 300-digit int, and one beyond the
+    # float range (the last two) must not end in an OverflowError traceback
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--s-x-mm", "1e-300"),
+            ("--sigma-plus", "1e300"),
+            ("--lambda-mm", "1e300"),
+            ("--sigma-plus", "1e308"),
+            ("--s-x-mm", "1e-308"),
+        ],
+    )
+    def test_astronomical_detector_square_is_one_short_line(self, tmp_path, capsys, flag, value):
+        assert main(["simulate", flag, value, "--output-prefix", str(tmp_path / "scan")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, errors
+        assert len(errors[0]) < 200, errors[0]
+        assert "detector square" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_too_many_replicates_exits_2_without_traceback(self, tmp_path):
         # 10^8 replicates would first allocate ~30 GiB of Poisson draws
         pos, mom = _simulate(tmp_path)

@@ -1,4 +1,5 @@
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,6 +500,19 @@ class TestIngestPaths:
     def test_arbitrary_bytes(self, tmp_path_factory, body, with_header):
         data = (_HEADER if with_header else b"") + body
         _assert_paths_agree(tmp_path_factory.mktemp("fuzz") / "scan.txt", data)
+
+    def test_read_header_leaves_the_count_block_alone(self):
+        # a short header and ~2 MB of counts: only the header lines are cut out
+        row = b",".join(b"%d" % v for v in range(1000, 1400)) + b"\n"
+        data = _HEADER + row * (2_000_000 // len(row))
+        tracemalloc.start()
+        try:
+            _, start, lineno = ingest._read_header(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (start, lineno) == (len(_HEADER), _HEADER.count(b"\n") + 1)
+        assert peak < 64 * 1024, peak
 
     def test_saved_scan_takes_the_fast_path(self, entangled_state, geometry, tmp_path):
         jc = sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=5)

@@ -172,17 +172,55 @@ def _scalar_checks_outside_errors(path: Path) -> list[str]:
 
 def _functions_raising(path: Path, message: str) -> list[str]:
     """Names of the functions in path that raise an exception whose text holds message."""
+    return _functions_with(
+        path,
+        lambda raise_: isinstance(raise_, ast.Raise)
+        and any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
+            for node in ast.walk(raise_)
+        ),
+    )
+
+
+def _functions_with(path: Path, match) -> list[str]:
+    """Names of the functions in path holding an AST node for which match(node) is true."""
     return [
         fn.name
         for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(
-            isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
-            for raise_ in ast.walk(fn)
-            if isinstance(raise_, ast.Raise)
-            for node in ast.walk(raise_)
-        )
+        and any(match(node) for node in ast.walk(fn))
     ]
+
+
+def _is_axis_refusal(node) -> bool:
+    """`x in ("position", "momentum")` or its `not in`."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.In, ast.NotIn))
+        and isinstance(node.comparators[0], ast.Tuple)
+        and {getattr(e, "value", None) for e in node.comparators[0].elts} == {"position", "momentum"}
+    )
+
+
+def _is_position_branch(node) -> bool:
+    """`<...>.variable_pair == "position"`."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Attribute)
+        and node.left.attr == "variable_pair"
+        and isinstance(node.ops[0], ast.Eq)
+        and getattr(node.comparators[0], "value", None) == "position"
+    )
+
+
+def _is_sign_test_of_value(node) -> bool:
+    """`<expression in value> < 0`: the shape of the detection verdict."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], ast.Lt)
+        and getattr(node.comparators[0], "value", None) == 0
+        and any(isinstance(n, ast.Name) and n.id == "value" for n in ast.walk(node.left))
+    )
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -300,6 +338,29 @@ class TestImports:
             if isinstance(target, ast.Name)
         }
         assert not {name for name in assigned if "BIN" in name}, assigned
+        # ingest owns the scan axes: one refusal of an unknown variable_pair,
+        # and the per-axis center error lives beside the per-axis base width
+        owners = [
+            f"{path.stem}.{name}"
+            for path in sorted(root.rglob("*.py"))
+            for name in _functions_with(path, _is_axis_refusal)
+        ]
+        assert owners == ["ingest.check_variable_pair"], owners
+        assert _functions_with(root / "witnesses.py", _is_position_branch) == []
+        # binning.check_factor owns the rebin-factor rule; the CLI only parses the list
+        assert not any(
+            (isinstance(node, ast.Name) and node.id == "MAX_FACTOR")
+            or (isinstance(node, ast.alias) and node.name == "MAX_FACTOR")
+            or (isinstance(node, ast.Attribute) and node.attr == "MAX_FACTOR")
+            or (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and getattr(node.right, "value", None) == 2
+            )
+            for node in ast.walk(cli)
+        )
+        # sweep and demo-false-positive share one detection verdict
+        assert _functions_with(root / "cli.py", _is_sign_test_of_value) == ["_detected"]
 
     def test_no_private_cross_module_imports(self):
         root = Path(cgwitness.__file__).parent

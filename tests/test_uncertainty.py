@@ -20,7 +20,8 @@ from cgwitness.errors import (
     PropagationError,
 )
 from cgwitness import witnesses
-from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, _center_sigma, sweep_grid
+from cgwitness.ingest import bin_center_error
+from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
 from conftest import rebinned_marginals
 
 
@@ -67,15 +68,15 @@ class TestErrorModel:
             JointCounts(pair, 1.0, np.ones((1, 1), dtype=np.int64), geometry)
             for pair in ("position", "momentum")
         )
-        assert _center_sigma(pos, 1) == pytest.approx(
+        assert bin_center_error(pos, 1) == pytest.approx(
             0.01 * math.sqrt(2) * 50.0 / 200.0, rel=1e-12
         )
-        assert _center_sigma(mom, 1) == pytest.approx(
+        assert bin_center_error(mom, 1) == pytest.approx(
             0.5468163616194912, rel=1e-12
         )
         # grows linearly with the rebin factor
-        assert _center_sigma(pos, 7) == pytest.approx(
-            7 * _center_sigma(pos, 1), rel=1e-12
+        assert bin_center_error(pos, 7) == pytest.approx(
+            7 * bin_center_error(pos, 1), rel=1e-12
         )
 
 
