@@ -124,16 +124,27 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     Bin k collects every cell with i+j = k (resp. i-j = k); the histogram
     lives on the base global-variable grid for this scan. Exact in integer
     arithmetic, so counts are conserved.
+
+    With the columns reversed for '-', cell [r, col] falls in bin
+    k_min + r + col, so each line of the shorter axis adds into a shifted
+    slice of the output: min(rows, cols) vector adds, no scan-sized
+    temporaries.
     """
     if sign not in ("+", "-"):
         raise InvalidParameterError(f"sign must be '+' or '-', got {sign!r}")
     rows, cols = jc.counts.shape
-    i = jc.i0 + np.arange(rows)[:, None]
-    j = jc.j0 + np.arange(cols)[None, :]
-    k = i + j if sign == "+" else i - j
-    k_min, k_max = int(k.min()), int(k.max())
-    sums = np.zeros(k_max - k_min + 1, dtype=np.int64)
-    np.add.at(sums, (k - k_min).ravel(), jc.counts.ravel())
+    if sign == "+":
+        c, k_min = jc.counts, jc.i0 + jc.j0
+    else:
+        c, k_min = jc.counts[:, ::-1], jc.i0 - jc.j0 - (cols - 1)
+    k_max = k_min + rows + cols - 2
+    sums = np.zeros(rows + cols - 1, dtype=np.int64)
+    if rows <= cols:
+        for r in range(rows):
+            sums[r : r + cols] += c[r]
+    else:
+        for col in range(cols):
+            sums[col : col + rows] += c[:, col]
     width = detector_to_source_scale(jc.geometry, jc.variable_pair)
     return CountHistogram(BinGrid(width, k_min, k_max), sums)
 

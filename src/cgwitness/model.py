@@ -117,8 +117,10 @@ def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
     rt2 = math.sqrt(2.0)
 
     def mass(lo, hi):
-        a = (np.asarray(lo, dtype=np.float64) - mean) / (std * rt2)
-        b = (np.asarray(hi, dtype=np.float64) - mean) / (std * rt2)
+        # a quotient beyond the float range becomes +/-inf, whose erf is the right +/-1
+        with np.errstate(over="ignore"):
+            a = (np.asarray(lo, dtype=np.float64) - mean) / (std * rt2)
+            b = (np.asarray(hi, dtype=np.float64) - mean) / (std * rt2)
         if np.any(a > b):
             raise InvalidParameterError("interval must have lo <= hi")
         # mirror intervals left of the mean, then each takes one formula

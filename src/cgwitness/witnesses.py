@@ -138,18 +138,19 @@ def _reduce(
     need_entropy: bool,
 ) -> _MarginalStats:
     """Statistics of each row of weights (B, K) over centers, (K,) or (B, K)."""
-    kept = weights.sum(axis=1) > 0
+    totals = weights.sum(axis=1)
+    kept = totals > 0
     if not kept.all():
-        weights = weights[kept]
+        weights, totals = weights[kept], totals[kept]
         if centers.ndim == 2:
             centers = centers[kept]
     variance = entropy = None
     if need_variance:
         variance = np.full(kept.shape, np.nan)
-        variance[kept] = batch_weighted_moments(weights, centers)[1]
+        variance[kept] = batch_weighted_moments(weights, centers, totals=totals)[1]
     if need_entropy:
         entropy = np.full(kept.shape, np.nan)
-        entropy[kept] = batch_entropy(weights)
+        entropy[kept] = batch_entropy(weights, totals=totals)
     return _MarginalStats(width, kept, variance, entropy)
 
 
@@ -241,9 +242,13 @@ def _witness_values(witness_ids, r_stats, s_stats, log_bound, keep=None) -> dict
             values = values[:, :, 0]
         else:  # ddof=1 standard deviation over the kept replicates
             k = keep.sum(axis=-1)
-            mean = np.where(keep, values, 0.0).sum(axis=-1) / k
-            dev = np.where(keep, values - mean[..., None], 0.0)
-            values = np.sqrt((dev * dev).sum(axis=-1) / (k - 1))
+            # in place on the fresh (R, S, B) values: dropped replicates count as 0
+            np.copyto(values, 0.0, where=~keep)
+            mean = values.sum(axis=-1) / k
+            values -= mean[..., None]
+            np.copyto(values, 0.0, where=~keep)
+            values *= values
+            values = np.sqrt(values.sum(axis=-1) / (k - 1))
         bad = values[~np.isfinite(values)]
         if bad.size:
             what = "" if keep is None else " as a standard error"

@@ -70,6 +70,21 @@ class TestSimulate:
         ]
         assert digests == ["d7edb5d95dee819f169ef603a1283b31", "8a1a68f8af8f61586f7e2fc293998bc2"]
 
+    @pytest.mark.parametrize(
+        "errors,digest",
+        [("on", "b451ce77531b220f600031814332b129"), ("off", "57f6723ec220a76e62f240087211ad82")],
+    )
+    def test_seed_42_sweep_bytes_are_pinned(self, tmp_path, errors, digest):
+        # any change to the marginals, the draws or the rounding of the reductions moves these
+        prefix = str(tmp_path / "scan")
+        assert main(["simulate", "--seed", "42", "--total-counts", "1e5", "--output-prefix", prefix]) == 0
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", f"{prefix}_position.txt", f"{prefix}_momentum.txt",
+            "--errors", errors, "--output", str(out),
+        ]) == 0
+        assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
     def test_seed_changes_output(self, tmp_path):
         a_pos, _ = _simulate(tmp_path, "a", seed=5)
         c_pos, _ = _simulate(tmp_path, "c", seed=6)
@@ -516,6 +531,17 @@ class TestExitCodes:
         assert len(errors[0]) < 200, errors[0]
         assert "detector square" in errors[0]
         assert list(tmp_path.iterdir()) == []
+
+    def test_vanishing_marginal_width_raises_no_runtime_warning(self, tmp_path):
+        # the position marginal is ~1e-308 wide, so its bin ends divide to +/-inf
+        proc = _run_python(
+            "-W", "error::RuntimeWarning", "-m", "cgwitness", "simulate",
+            "--sigma-plus", "1e308", "--output-prefix", str(tmp_path / "scan"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "detector square" in proc.stderr
 
     def test_too_many_replicates_exits_2_without_traceback(self, tmp_path):
         # 10^8 replicates would first allocate ~30 GiB of Poisson draws

@@ -176,6 +176,45 @@ class TestGlobalMarginal:
         with pytest.raises(InvalidParameterError):
             global_marginal(jc, "x")
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_trace_of_each_diagonal(self, data):
+        # row, column, tall, wide and square scans run both loop directions
+        kind = data.draw(st.sampled_from(["row", "column", "tall", "wide", "square"]))
+        n = data.draw(st.integers(1, 9))
+        rows, cols = {
+            "row": (1, n), "column": (n, 1), "tall": (n + 1, n),
+            "wide": (n, n + 1), "square": (n, n),
+        }[kind]
+        half = MAX_INDEX // 2
+        i0 = data.draw(st.integers(-half, half - rows + 1))
+        j0 = data.draw(st.integers(-half, half - cols + 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        counts = np.random.default_rng(seed).integers(0, 2**40, size=(rows, cols))
+        jc = JointCounts("momentum", 0.05, counts, OpticalGeometry(), i0=i0, j0=j0)
+        # '+': bin i0 + j0 + d holds the anti-diagonal r + col = d
+        plus = global_marginal(jc, "+")
+        expected = [int(np.trace(counts[:, ::-1], offset=cols - 1 - d)) for d in range(rows + cols - 1)]
+        assert (plus.grid.j_min, plus.grid.j_max) == (i0 + j0, i0 + j0 + rows + cols - 2)
+        assert plus.counts.tolist() == expected
+        # '-': bin i0 - j0 + e holds the diagonal r - col = e
+        minus = global_marginal(jc, "-")
+        expected = [int(np.trace(counts, offset=-e)) for e in range(1 - cols, rows)]
+        assert (minus.grid.j_min, minus.grid.j_max) == (i0 - j0 - cols + 1, i0 - j0 + rows - 1)
+        assert minus.counts.tolist() == expected
+
+    def test_makes_no_scan_sized_temporaries(self, geometry):
+        counts = np.random.default_rng(3).integers(0, 50, size=(500, 500))
+        jc = JointCounts("position", 0.05, counts, geometry)
+        for sign in "+-":
+            tracemalloc.start()
+            try:
+                global_marginal(jc, sign)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * jc.counts.nbytes, (sign, peak)
+
 
 class TestRebinMarginal:
     def test_width_and_conservation(self, entangled_state, geometry):
