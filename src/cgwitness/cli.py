@@ -34,6 +34,7 @@ from .ingest import (
 from .model import (
     SPAN_SIGMAS,
     GaussianTwoPhotonState,
+    check_detector_squares,
     coarse_grained_marginal,
     exact_marginals,
     sample_joint_counts,
@@ -134,6 +135,7 @@ def _detected(value: float, uncertainty: float | None = None, nsigma: float = 0.
 def cmd_simulate(args) -> int:
     geometry = _geometry_from_args(args)
     state = GaussianTwoPhotonState(args.sigma_plus, args.sigma_minus)
+    check_detector_squares(state, geometry)
     pos_seed, mom_seed = np.random.SeedSequence(args.seed).spawn(2)
     position = sample_joint_counts(state, geometry, "position", args.total_counts, pos_seed)
     momentum = sample_joint_counts(state, geometry, "momentum", args.total_counts, mom_seed)

@@ -163,13 +163,11 @@ def sample_marginal_counts(
     return CountHistogram(d.grid, counts)
 
 
-def _plan_square(sum_std: float, diff_std: float, width: float):
-    """Choose the detector half-size N and compute the captured fraction.
+def _half_size(sum_std: float, diff_std: float, width: float) -> int:
+    """Detector half-size N of a scan; a square above MAX_DETECTOR_CELLS is refused.
 
-    N exceeds 3 standard deviations of the wider marginal in base bins, and
-    the square holds every cell with |i + j| + |i - j| <= 2N, so it captures
-    at least 1 - 2 P(|Z| > 3 sqrt 2) ~ 0.99996 of the joint mass. A square
-    above MAX_DETECTOR_CELLS is refused before anything is allocated.
+    N exceeds 3 standard deviations of the wider marginal in base bins. The
+    refusal comes before anything is allocated.
     """
     # floats until the limit passes: N is inf when the ratio overflows
     n = float(np.ceil(3.0 * max(sum_std, diff_std) / width)) + 1.0
@@ -179,7 +177,18 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
             f"a {side:.6g} x {side:.6g} detector square exceeds the limit of "
             f"{MAX_DETECTOR_CELLS} cells; the base bin is too narrow for the marginal widths"
         )
-    n, side = int(n), int(side)
+    return int(n)
+
+
+def _plan_square(sum_std: float, diff_std: float, width: float):
+    """Choose the detector half-size N and compute the captured fraction.
+
+    N is _half_size's, and the square holds every cell with
+    |i + j| + |i - j| <= 2N, so it captures at least
+    1 - 2 P(|Z| > 3 sqrt 2) ~ 0.99996 of the joint mass.
+    """
+    n = _half_size(sum_std, diff_std, width)
+    side = 2 * n + 1
     j = np.arange(-3 * n, 3 * n + 1)
     lo, hi = (j - 0.5) * width, (j + 0.5) * width
     ms = bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std))(lo, hi)
@@ -199,6 +208,25 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
             captured_fraction=captured,
         )
     return n, cells, captured
+
+
+def _scan_widths(state: GaussianTwoPhotonState, geometry: OpticalGeometry, variable_pair: str):
+    """(sum std, difference std, base bin width) of one scan of state."""
+    width = detector_to_source_scale(geometry, variable_pair)  # refuses an unknown pair
+    marg = exact_marginals(state)
+    if variable_pair == "position":
+        return marg.x_plus.std, marg.x_minus.std, width
+    return marg.p_plus.std, marg.p_minus.std, width
+
+
+def check_detector_squares(state: GaussianTwoPhotonState, geometry: OpticalGeometry) -> None:
+    """Refuse the scan pair if either detector square exceeds MAX_DETECTOR_CELLS.
+
+    Checking both before sampling either means a refused pair neither
+    builds nor warns about the scan that would pass.
+    """
+    for variable_pair in ("position", "momentum"):
+        _half_size(*_scan_widths(state, geometry, variable_pair))
 
 
 def sample_joint_counts(
@@ -229,26 +257,19 @@ def sample_joint_counts(
     Returns:
         JointCounts with a centered (2N+1) x (2N+1) count matrix.
     """
-    width = detector_to_source_scale(geometry, variable_pair)  # refuses an unknown pair
+    sum_std, diff_std, width = _scan_widths(state, geometry, variable_pair)
     check_real("total_expected_counts", total_expected_counts, 0, MAX_EXPECTED_COUNTS, closed=False)
-    marg = exact_marginals(state)
-    if variable_pair == "position":
-        sum_std, diff_std = marg.x_plus.std, marg.x_minus.std
-        step = geometry.s_x_mm
-    else:
-        sum_std, diff_std = marg.p_plus.std, marg.p_minus.std
-        step = geometry.s_p_mm
+    n, cells, _ = _plan_square(sum_std, diff_std, width)
     if width > min(sum_std, diff_std):
         warnings.warn(
             "base bin width exceeds a marginal width; diagonal marginals of "
             "the synthetic table will show parity artifacts",
             stacklevel=2,
         )
-    n, cells, _ = _plan_square(sum_std, diff_std, width)
     lam = total_expected_counts * cells / cells.sum()
     return JointCounts(
         variable_pair=variable_pair,
-        step=step,
+        step=geometry.s_x_mm if variable_pair == "position" else geometry.s_p_mm,
         counts=_rng_from(seed).poisson(lam),
         geometry=geometry,
         i0=-n,

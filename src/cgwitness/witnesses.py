@@ -28,9 +28,12 @@ rebin factors; a single cell is the 1x1 grid. Both go through one core:
 each marginal is reduced once to (B,) variances and entropies (`_reduce`;
 the point estimate is the B = 1 row of its exact masses, `_point_stats`),
 ln C is tabulated once per distinct width product (`_log_bound_table`),
-and `_combine`, the one definition of each witness formula, broadcasts
-them over (R, S, B). `_witness_values` takes those to (R, S) values or
-standard errors and refuses any that is not finite, the one such check.
+and `_combine`, the one definition of each witness formula, yields the
+(S, B) values of one position marginal against every momentum marginal.
+`_witness_values` takes each such row to values or standard errors and
+refuses any that is not finite, the one such check. Replicates are drawn
+and reduced in row blocks of at most _BLOCK_ELEMENTS draws, and errors
+are taken one row at a time, so no array holds R * S * B elements.
 
 Errors. Counts fluctuate Poisson-wise and the slit micrometers place each
 bin center only to finite precision, so `sweep_grid` with an ErrorModel
@@ -84,9 +87,13 @@ _COUNTS_STREAM, _JITTER_STREAM = 0, 1
 #: Fewest replicates: shorter runs give noisy standard errors.
 MIN_REPLICATES = 100
 
-#: Largest replicate count: the default sweep needs ~8 KB per replicate
-#: (121 MB peak at 10^4), so this stays near 1 GB.
+#: Largest replicate count: the default sweep needs ~0.9 KB per replicate
+#: (128 MB peak RSS at 10^5, of which 37 MB is already there at 10^3).
 MAX_REPLICATES = 100_000
+
+#: Most Poisson draws held at once per marginal (~128 KB per float64 array):
+#: replicates are drawn and reduced in row blocks of at most this many.
+_BLOCK_ELEMENTS = 2**14
 
 #: Both evaluators run under this: overflow and inf - inf leave values that
 #: _witness_values refuses, so numpy need not warn of them.
@@ -206,11 +213,11 @@ def _log_bound_table(r_stats, s_stats) -> np.ndarray:
     return logs[inverse].reshape(products.shape)[:, :, None]
 
 
-def _combine(witness_id: str, r_stats, s_stats, log_bound) -> np.ndarray:
-    """Values (R, S, B) of one witness on every pair of r_stats and s_stats.
+def _combine(witness_id: str, r_stats, s_stats, log_bound):
+    """Yield the values (S, B) of one witness for each of r_stats against every s_stats.
 
-    The formulas are those of the module docstring, with log_bound from
-    _log_bound_table.
+    The formulas are those of the module docstring, with log_bound the
+    (R, S, 1) table of _log_bound_table.
     """
 
     def stacked(stats):
@@ -222,36 +229,53 @@ def _combine(witness_id: str, r_stats, s_stats, log_bound) -> np.ndarray:
             inputs = [st.variance for st in stats]
         return np.stack(inputs)
 
-    x_r, x_s = stacked(r_stats)[:, None, :], stacked(s_stats)[None, :, :]
-    if witness_id == "coarse_entropic":
-        return x_r + x_s + log_bound
-    return x_r * x_s - 1.0
+    x_r, x_s = stacked(r_stats), stacked(s_stats)
+    for i in range(len(r_stats)):
+        if witness_id == "coarse_entropic":
+            yield x_r[i] + x_s + log_bound[i]
+        else:
+            yield x_r[i] * x_s - 1.0
 
 
-def _witness_values(witness_ids, r_stats, s_stats, log_bound, keep=None) -> dict[str, np.ndarray]:
+def _kept_pairs(r_stats, s_stats) -> np.ndarray:
+    """(R, S) counts of the replicates kept by both marginals, with no (R, S, B) mask."""
+    kept_r, kept_s = (
+        np.stack([st.kept for st in stats]).astype(np.int64) for stats in (r_stats, s_stats)
+    )
+    return kept_r @ kept_s.T
+
+
+def _witness_values(
+    witness_ids, r_stats, s_stats, log_bound, spread=False
+) -> dict[str, np.ndarray]:
     """{witness_id: (R, S) array} on every pair of r_stats and s_stats.
 
-    Without keep, the values of one point each; with keep, an (R, S, B) mask
-    of replicates, their ddof=1 standard deviations over the kept ones. An
+    Without spread, the values of one point each; with spread, the ddof=1
+    standard deviations over the replicates that both marginals kept. An
     entry that is not finite raises InvalidParameterError.
     """
+    kept_s = np.stack([st.kept for st in s_stats])
     out = {}
     for witness_id in witness_ids:
-        values = _combine(witness_id, r_stats, s_stats, log_bound)
-        if keep is None:
-            values = values[:, :, 0]
-        else:  # ddof=1 standard deviation over the kept replicates
+        rows = []
+        for r, values in zip(r_stats, _combine(witness_id, r_stats, s_stats, log_bound)):
+            if not spread:
+                rows.append(values[:, 0])
+                continue
+            # ddof=1 standard deviation over the kept replicates of this (S, B) row
+            keep = r.kept & kept_s
             k = keep.sum(axis=-1)
-            # in place on the fresh (R, S, B) values: dropped replicates count as 0
+            # in place on the fresh values: dropped replicates count as 0
             np.copyto(values, 0.0, where=~keep)
             mean = values.sum(axis=-1) / k
             values -= mean[..., None]
             np.copyto(values, 0.0, where=~keep)
             values *= values
-            values = np.sqrt(values.sum(axis=-1) / (k - 1))
+            rows.append(np.sqrt(values.sum(axis=-1) / (k - 1)))
+        values = np.stack(rows)
         bad = values[~np.isfinite(values)]
         if bad.size:
-            what = "" if keep is None else " as a standard error"
+            what = " as a standard error" if spread else ""
             raise InvalidParameterError(f"witness value must be finite, got {bad[0]}{what}")
         out[witness_id] = values
     return out
@@ -360,17 +384,36 @@ def sweep_grid(
             points.append(_point_stats(h.normalize(), need_variance, need_entropy))
             if em is None:
                 continue
-            # resample the occupied bins em.replicates times and reduce each replicate
+            # resample the occupied bins em.replicates times, a block of rows
+            # at a time; each block continues the same two streams, so the
+            # draws are those of one (replicates, K) call
             key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
             occupied = h.counts > 0
             counts, centers = h.counts[occupied], h.grid.centers[occupied]
-            shape = (em.replicates, counts.size)
-            draws = _stream(root, key + (_COUNTS_STREAM,)).poisson(counts, size=shape)
+            counts_rng = _stream(root, key + (_COUNTS_STREAM,))
+            jitter_rng = None
             if need_variance and em.center_jitter:
                 sigma = bin_center_error(jc, f)
-                centers = centers + _stream(root, key + (_JITTER_STREAM,)).normal(0.0, sigma, shape)
-            weights = draws.astype(np.float64)
-            replicates.append(_reduce(h.grid.width, weights, centers, need_variance, need_entropy))
+                jitter_rng = _stream(root, key + (_JITTER_STREAM,))
+            kept = np.empty(em.replicates, dtype=bool)
+            variance = np.empty(em.replicates) if need_variance else None
+            entropy = np.empty(em.replicates) if need_entropy else None
+            step = max(1, _BLOCK_ELEMENTS // counts.size)
+            for lo in range(0, em.replicates, step):
+                rows = slice(lo, lo + step)
+                shape = (min(step, em.replicates - lo), counts.size)
+                weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
+                x = centers
+                if jitter_rng is not None:
+                    x = jitter_rng.normal(0.0, sigma, shape)
+                    x += centers
+                block = _reduce(h.grid.width, weights, x, need_variance, need_entropy)
+                kept[rows] = block.kept
+                if need_variance:
+                    variance[rows] = block.variance
+                if need_entropy:
+                    entropy[rows] = block.entropy
+            replicates.append(_MarginalStats(h.grid.width, kept, variance, entropy))
         return points, replicates
 
     log_bound = None
@@ -385,10 +428,7 @@ def sweep_grid(
             # so one table serves both pairings
             log_bound = _log_bound_table(r_point, s_point)
         if em is not None:
-            keep = np.stack([st.kept for st in r_reps])[:, None, :] & np.stack(
-                [st.kept for st in s_reps]
-            )[None, :, :]
-            discarded = em.replicates - keep.sum(axis=-1)
+            discarded = em.replicates - _kept_pairs(r_reps, s_reps)
             i, j = np.unravel_index(np.argmax(discarded), discarded.shape)
             if discarded[i, j] > 0.1 * em.replicates:
                 raise PropagationError(
@@ -399,7 +439,7 @@ def sweep_grid(
         values = _witness_values(witness_ids, r_point, s_point, log_bound)
         errors = dict.fromkeys(witness_ids)
         if em is not None:
-            errors = _witness_values(witness_ids, r_reps, s_reps, log_bound, keep)
+            errors = _witness_values(witness_ids, r_reps, s_reps, log_bound, spread=True)
         for witness_id in witness_ids:
             out[pairing, witness_id] = (values[witness_id], errors[witness_id])
     return out

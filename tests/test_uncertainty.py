@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from cgwitness import (
     ErrorModel,
     GaussianTwoPhotonState,
     JointCounts,
+    OpticalGeometry,
     entropic_bound_constant,
+    global_marginal,
     sample_joint_counts,
     witness_grid,
 )
@@ -342,3 +345,49 @@ class TestSweepGrid:
                 values, unc = grid[pairing, witness_id]
                 assert values[2, 1] == value
                 assert unc[2, 1] == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "center_jitter,witness_ids",
+        [(True, witnesses.DATA_WITNESS_IDS), (False, ("coarse_entropic",))],
+    )
+    def test_errors_do_not_depend_on_the_block_size(
+        self, scans, monkeypatch, center_jitter, witness_ids
+    ):
+        # each block continues the same two streams and every row reduces
+        # alone, so one-row blocks, the default blocks and one block of
+        # every draw give the same bits. Poisson-only variances are left out:
+        # their shared-center means are one BLAS matrix-vector product per
+        # block, whose last bits depend on how many rows share it.
+        pos, mom = scans
+        em = ErrorModel(center_jitter=center_jitter, replicates=1000, seed=5)
+        bins = max(global_marginal(jc, sign).counts.size for jc in scans for sign in "+-")
+        # the widest marginal spans several default blocks
+        assert em.replicates * bins > 4 * witnesses._BLOCK_ELEMENTS
+
+        def grid():
+            return sweep_grid(pos, mom, [1, 3, 9], [1, 5], em, witness_ids=witness_ids)
+
+        default = grid()
+        for block in (1, em.replicates * bins):
+            monkeypatch.setattr(witnesses, "_BLOCK_ELEMENTS", block)
+            for key, (values, unc) in grid().items():
+                assert np.array_equal(values, default[key][0]), (block, key)
+                assert np.array_equal(unc, default[key][1]), (block, key)
+
+    def test_traced_peak_per_replicate_stays_small(self):
+        # the default simulate pair and sweep: replicates are drawn and reduced
+        # a block at a time and errors taken a row at a time, so no array
+        # grows with cells * replicates (a whole-array sweep needs ~5.4 KB)
+        state, geometry = GaussianTwoPhotonState(10.0, 2.5), OpticalGeometry()
+        pos_seed, mom_seed = np.random.SeedSequence(0).spawn(2)
+        pos = sample_joint_counts(state, geometry, "position", 1e6, pos_seed)
+        mom = sample_joint_counts(state, geometry, "momentum", 1e6, mom_seed)
+        factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
+        em = ErrorModel(replicates=5000, seed=0)
+        tracemalloc.start()
+        try:
+            sweep_grid(pos, mom, factors, factors, em)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * em.replicates, peak / em.replicates
