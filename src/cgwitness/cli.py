@@ -356,7 +356,3 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

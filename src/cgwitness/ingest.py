@@ -126,9 +126,9 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     arithmetic, so counts are conserved.
 
     With the columns reversed for '-', cell [r, col] falls in bin
-    k_min + r + col, so each line of the shorter axis adds into a shifted
-    slice of the output: min(rows, cols) vector adds, no scan-sized
-    temporaries.
+    k_min + r + col, also after a transpose, so each line of the shorter
+    axis adds into a shifted slice of the output: min(rows, cols) vector
+    adds, no scan-sized temporaries.
     """
     if sign not in ("+", "-"):
         raise InvalidParameterError(f"sign must be '+' or '-', got {sign!r}")
@@ -139,12 +139,10 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
         c, k_min = jc.counts[:, ::-1], jc.i0 - jc.j0 - (cols - 1)
     k_max = k_min + rows + cols - 2
     sums = np.zeros(rows + cols - 1, dtype=np.int64)
-    if rows <= cols:
-        for r in range(rows):
-            sums[r : r + cols] += c[r]
-    else:
-        for col in range(cols):
-            sums[col : col + rows] += c[:, col]
+    if rows > cols:
+        c = c.T
+    for r, line in enumerate(c):
+        sums[r : r + line.size] += line
     width = detector_to_source_scale(jc.geometry, jc.variable_pair)
     return CountHistogram(BinGrid(width, k_min, k_max), sums)
 

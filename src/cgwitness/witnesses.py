@@ -95,9 +95,10 @@ MAX_REPLICATES = 100_000
 #: replicates are drawn and reduced in row blocks of at most this many.
 _BLOCK_ELEMENTS = 2**14
 
-#: Both evaluators run under this: overflow and inf - inf leave values that
-#: _witness_values refuses, so numpy need not warn of them.
-_NONFINITE_SILENT = np.errstate(over="ignore", invalid="ignore")
+#: Both evaluators run under this: overflow, inf - inf and a zero-total
+#: replicate's 0/0 and ln 0 leave values that _witness_values refuses or
+#: that no kept replicate carries, so numpy need not warn of them.
+_NONFINITE_SILENT = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def corrected_variance(variance, width: float):
@@ -146,19 +147,12 @@ def _reduce(
 ) -> _MarginalStats:
     """Statistics of each row of weights (B, K) over centers, (K,) or (B, K)."""
     totals = weights.sum(axis=1)
-    kept = totals > 0
-    if not kept.all():
-        weights, totals = weights[kept], totals[kept]
-        if centers.ndim == 2:
-            centers = centers[kept]
     variance = entropy = None
     if need_variance:
-        variance = np.full(kept.shape, np.nan)
-        variance[kept] = batch_weighted_moments(weights, centers, totals=totals)[1]
+        variance = batch_weighted_moments(weights, centers, totals=totals)[1]
     if need_entropy:
-        entropy = np.full(kept.shape, np.nan)
-        entropy[kept] = batch_entropy(weights, totals=totals)
-    return _MarginalStats(width, kept, variance, entropy)
+        entropy = batch_entropy(weights, totals=totals)
+    return _MarginalStats(width, totals > 0, variance, entropy)
 
 
 def _point_stats(d: DiscreteDistribution, need_variance: bool, need_entropy: bool):
@@ -259,19 +253,10 @@ def _witness_values(
     for witness_id in witness_ids:
         rows = []
         for r, values in zip(r_stats, _combine(witness_id, r_stats, s_stats, log_bound)):
-            if not spread:
+            if spread:
+                rows.append(values.std(axis=-1, ddof=1, where=r.kept & kept_s))
+            else:
                 rows.append(values[:, 0])
-                continue
-            # ddof=1 standard deviation over the kept replicates of this (S, B) row
-            keep = r.kept & kept_s
-            k = keep.sum(axis=-1)
-            # in place on the fresh values: dropped replicates count as 0
-            np.copyto(values, 0.0, where=~keep)
-            mean = values.sum(axis=-1) / k
-            values -= mean[..., None]
-            np.copyto(values, 0.0, where=~keep)
-            values *= values
-            rows.append(np.sqrt(values.sum(axis=-1) / (k - 1)))
         values = np.stack(rows)
         bad = values[~np.isfinite(values)]
         if bad.size:

@@ -41,12 +41,23 @@ class TestBatchReductions:
             q = q[q > 0]
             assert ent[b] == pytest.approx(-(q * np.log(q)).sum(), rel=1e-12)
 
-    def test_rejects_zero_rows(self):
-        w = np.zeros((2, 4))
-        with pytest.raises(ValueError):
-            batch_weighted_moments(w, np.arange(4.0), totals=w.sum(axis=1))
-        with pytest.raises(ValueError):
-            batch_entropy(w, totals=w.sum(axis=1))
+    def test_zero_total_row_gives_nan_and_leaves_the_others(self):
+        w, x, xb = _random_batch(5, rows=9)
+        w[3] = 0.0
+        others = np.arange(w.shape[0]) != 3
+        for centers, centers_alone in ((x, x), (xb, xb[others])):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                stats = (
+                    *batch_weighted_moments(w, centers, totals=w.sum(axis=1)),
+                    batch_entropy(w, totals=w.sum(axis=1)),
+                )
+            alone = (
+                *batch_weighted_moments(w[others], centers_alone, totals=w[others].sum(axis=1)),
+                batch_entropy(w[others], totals=w[others].sum(axis=1)),
+            )
+            for got, want in zip(stats, alone):
+                assert np.isnan(got[3])
+                assert np.array_equal(got[others], want)
 
     def test_shape_mismatch_rejected(self):
         w, x, _ = _random_batch(6)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -24,7 +25,7 @@ from cgwitness.errors import (
 )
 from cgwitness import witnesses
 from cgwitness.ingest import bin_center_error
-from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, sweep_grid
+from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, PAIRINGS, sweep_grid
 from conftest import rebinned_marginals
 
 
@@ -36,6 +37,16 @@ def scans():
     st = GaussianTwoPhotonState(10.0, 2.5)
     pos = sample_joint_counts(st, geo, "position", 2e5, seed=31)
     mom = sample_joint_counts(st, geo, "momentum", 2e5, seed=32)
+    return pos, mom
+
+
+@pytest.fixture(scope="module")
+def sparse_scans():
+    # 5 and 4 counts: ~2.5% of replicate pairs draw a zero total, under the 10% rule
+    st, geo = GaussianTwoPhotonState(10.0, 2.5), OpticalGeometry()
+    pos = sample_joint_counts(st, geo, "position", 5, seed=30)
+    mom = sample_joint_counts(st, geo, "momentum", 5, seed=130)
+    assert (pos.counts.sum(), mom.counts.sum()) == (5, 4)
     return pos, mom
 
 
@@ -241,16 +252,20 @@ class TestPropagate:
             _one_cell(pos, mom, "coarse_variance", 1, 1, ErrorModel(replicates=150))
 
 
-def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicates, rng):
-    """Per-cell Poisson + per-bin center jitter resampling, coded from scratch."""
-    r, s = rebinned_marginals(pos, mom, pairing, n, m)
+def _center_errors(geometry, n, m):
+    """Bin-center errors of the position marginal at factor n and the momentum one at m."""
     step = geometry.micrometer_step_mm
-    sigmas = (
+    return (
         step * math.sqrt(2) * n * geometry.f1_mm / geometry.f2_mm,
         step * math.sqrt(2) * 2 * m * math.pi / (geometry.f3_mm * geometry.lambda_mm),
     )
+
+
+def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicates, rng):
+    """Per-cell Poisson + per-bin center jitter resampling, coded from scratch."""
+    r, s = rebinned_marginals(pos, mom, pairing, n, m)
     stats = []
-    for h, sigma in zip((r, s), sigmas):
+    for h, sigma in zip((r, s), _center_errors(geometry, n, m)):
         c = rng.poisson(h.counts, size=(replicates, h.counts.size)).astype(float)
         q = c / c.sum(axis=1, keepdims=True)
         w = h.grid.width
@@ -268,6 +283,47 @@ def _independent_stderr(pos, mom, witness_id, pairing, n, m, geometry, replicate
     else:
         values = stats[0] * stats[1] - 1.0
     return float(np.std(values, ddof=1))
+
+
+def _same_stream_errors(pos, mom, pairing, n, m, em):
+    """({witness_id: stderr}, discarded) of one cell, recomputed from sweep_grid's streams.
+
+    Each marginal redraws its counts and center jitter from the SeedSequence
+    spawn keys of the witnesses module; replicate pairs in which either
+    marginal drew a zero total are dropped, and discarded counts them.
+    """
+    signs = {"pm": (0, 1), "mp": (1, 0)}[pairing]
+    marginals = rebinned_marginals(pos, mom, pairing, n, m)
+    stats = []
+    for axis, (h, sign, f, sigma) in enumerate(
+        zip(marginals, signs, (n, m), _center_errors(pos.geometry, n, m))
+    ):
+        counts_rng, jitter_rng = (
+            np.random.default_rng(np.random.SeedSequence(em.seed, spawn_key=(axis, sign, f, k)))
+            for k in (0, 1)
+        )
+        occupied = h.counts > 0
+        shape = (em.replicates, int(occupied.sum()))
+        c = counts_rng.poisson(h.counts[occupied], size=shape).astype(float)
+        x = h.grid.centers[occupied]
+        if em.center_jitter:
+            x = x + jitter_rng.normal(0.0, sigma, size=shape)
+        total = c.sum(axis=1)
+        q = c / np.where(total > 0, total, 1.0)[:, None]
+        mu = (q * x).sum(axis=1)
+        var = (q * (x - mu[:, None]) ** 2).sum(axis=1)
+        ent = -(q * np.log(np.where(q > 0, q, 1.0))).sum(axis=1) + math.log(h.grid.width)
+        stats.append((total > 0, var, var + h.grid.width**2 / 12.0, ent))
+    (kept_r, var_r, cvar_r, ent_r), (kept_s, var_s, cvar_s, ent_s) = stats
+    keep = kept_r & kept_s
+    bound = entropic_bound_constant(marginals[0].grid.width * marginals[1].grid.width)
+    values = {
+        "coarse_variance": cvar_r * cvar_s - 1.0,
+        "coarse_entropic": ent_r + ent_s + math.log(bound),
+        "naive_discrete": var_r * var_s - 1.0,
+    }
+    errors = {w: float(np.std(v[keep], ddof=1)) for w, v in values.items()}
+    return errors, em.replicates - int(keep.sum())
 
 
 class TestSweepGrid:
@@ -346,28 +402,33 @@ class TestSweepGrid:
                 assert values[2, 1] == value
                 assert unc[2, 1] == pytest.approx(one, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "center_jitter,witness_ids",
-        [(True, witnesses.DATA_WITNESS_IDS), (False, ("coarse_entropic",))],
-    )
+    @pytest.mark.parametrize("center_jitter", [True, False])
+    @pytest.mark.parametrize("pair", ["scans", "sparse_scans"])
     def test_errors_do_not_depend_on_the_block_size(
-        self, scans, monkeypatch, center_jitter, witness_ids
+        self, request, monkeypatch, pair, center_jitter
     ):
         # each block continues the same two streams and every row reduces
         # alone, so one-row blocks, the default blocks and one block of
-        # every draw give the same bits. Poisson-only variances are left out:
-        # their shared-center means are one BLAS matrix-vector product per
-        # block, whose last bits depend on how many rows share it.
-        pos, mom = scans
+        # every draw give the same bits, those of a from-scratch redraw
+        pos, mom = scans = request.getfixturevalue(pair)
         em = ErrorModel(center_jitter=center_jitter, replicates=1000, seed=5)
+        n_list, m_list = [1, 3, 9], [1, 5]
         bins = max(global_marginal(jc, sign).counts.size for jc in scans for sign in "+-")
-        # the widest marginal spans several default blocks
-        assert em.replicates * bins > 4 * witnesses._BLOCK_ELEMENTS
+        if pair == "scans":  # the widest marginal spans several default blocks
+            assert em.replicates * bins > 4 * witnesses._BLOCK_ELEMENTS
 
         def grid():
-            return sweep_grid(pos, mom, [1, 3, 9], [1, 5], em, witness_ids=witness_ids)
+            return sweep_grid(pos, mom, n_list, m_list, em)
 
         default = grid()
+        for pairing in PAIRINGS:
+            for (i, n), (j, m) in itertools.product(enumerate(n_list), enumerate(m_list)):
+                want, discarded = _same_stream_errors(pos, mom, pairing, n, m, em)
+                # the sparse pair drops some replicates in every cell, the dense pair none
+                assert (0 < discarded <= 0.1 * em.replicates) == (pair == "sparse_scans")
+                for witness_id, stderr in want.items():
+                    got = default[pairing, witness_id][1][i, j]
+                    assert got == pytest.approx(stderr, rel=1e-12), (pairing, witness_id, n, m)
         for block in (1, em.replicates * bins):
             monkeypatch.setattr(witnesses, "_BLOCK_ELEMENTS", block)
             for key, (values, unc) in grid().items():
