@@ -7,12 +7,14 @@ The bound constant of the coarse-grained entropic criterion is
 where g is the dimensionless product of the position and momentum bin
 widths and lambda0(c) is the largest eigenvalue of the concentration
 operator, the sinc kernel sin(c(x-y))/(pi(x-y)) on [-1, 1] (Slepian &
-Pollak 1961). Up to c = 14 lambda0 is the top eigenvalue of one Nystrom
-discretisation, sqrt(w_i w_j) K(x_i, x_j) on 32 Gauss-Legendre nodes built
-once at import. The kernel is analytic, so the error falls exponentially
-with the node count (Bornemann 2010): 32 nodes agree with 96 to ~1e-15.
-Written as (c/pi) sinc(c(x-y)/pi), the matrix is scale-free and exact to
-rounding as c -> 0. Beyond c = 14 an asymptotic tail takes over.
+Pollak 1961). lambda0 is the top eigenvalue of one Nystrom discretisation,
+sqrt(w_i w_j) K(x_i, x_j) on 32 Gauss-Legendre nodes built once at import,
+clipped to 1. The kernel is analytic, so the error falls exponentially
+with the node count (Bornemann 2010): 32 nodes agree with 96 to ~1e-15 up
+to c = 14 and with 128 to ~1e-14 beyond. Written as (c/pi) sinc(c(x-y)/pi),
+the matrix is scale-free and exact to rounding as c -> 0. Where lambda0
+rounds to 1 the clip is exact: from c = pi / max(w) ~ 32.5 the Rayleigh
+quotient on one node alone already gives a Nystrom value of at least 1.
 
 The constant is exactly 1/(2*pi*e) below the branch switch g* ~ 14.3332.
 Below FLAT_BRANCH_END, just short of g*, that flat value is returned
@@ -32,10 +34,6 @@ from .errors import check_real
 #: Small-width limit of the bound constant, 1/(2*pi*e); minus its log is
 #: the continuous entropic bound ln(2*pi*e).
 CONTINUOUS_BOUND_CONSTANT = 1.0 / (2.0 * math.pi * math.e)
-
-#: Above this c the Nystrom eigensolve hands off to the asymptotic tail of
-#: lambda0, accurate to < 1e-14 there and improving.
-TAIL_SWITCH = 14.0
 
 #: Width products below this lie on the flat branch: a point just below the
 #: branch switch g* ~ 14.3332 (the root of lambda0(g/8)/g = 1/(2*pi*e)),
@@ -70,16 +68,9 @@ def _scaled_eigenvalue(c: float) -> float:
 
 
 def concentration_eigenvalue(c: float) -> float:
-    """Largest eigenvalue of the concentration operator, in (0, 1], increasing in c.
-
-    The Nystrom eigensolve up to c = 14, then the asymptotic tail
-    1 - 4*sqrt(pi*c)*exp(-2c)*(1 - 0.455/c), clipped to [0, 1].
-    """
+    """Largest eigenvalue of the concentration operator, in (0, 1], nondecreasing in c."""
     c = check_real("parameter", c, 0, closed=False)
-    if c <= TAIL_SWITCH:
-        return min(1.0, c / math.pi * _scaled_eigenvalue(c))
-    tail = 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
-    return max(0.0, min(1.0, 1.0 - tail))
+    return min(1.0, c / math.pi * _scaled_eigenvalue(c))
 
 
 def entropic_bound_constant(width_product: float) -> float:
@@ -92,10 +83,7 @@ def entropic_bound_constant(width_product: float) -> float:
     g = check_real("width product", width_product, 0)
     if g < FLAT_BRANCH_END:
         return CONTINUOUS_BOUND_CONSTANT
-    c = g / 8.0
-    if c <= TAIL_SWITCH:
-        # lambda0(c)/g with lambda0 = (c/pi) * scaled and g = 8c: the c cancels
-        curved = _scaled_eigenvalue(c) / (8.0 * math.pi)
-    else:
-        curved = concentration_eigenvalue(c) / g
-    return min(CONTINUOUS_BOUND_CONSTANT, curved)
+    # lambda0(c)/g with lambda0 = (c/pi) * scaled and g = 8c: the c cancels,
+    # and lambda0 <= 1 caps it at 1/g
+    curved = _scaled_eigenvalue(g / 8.0) / (8.0 * math.pi)
+    return min(CONTINUOUS_BOUND_CONSTANT, curved, 1.0 / g)

@@ -112,14 +112,15 @@ def _csv_cell(v) -> str:
     return "%.12g" % v if isinstance(v, float) else str(v)
 
 
-def _emit_rows(rows, columns, fmt, output, *, sections=None) -> None:
-    """Write rows of dicts as CSV (with optional labeled sections) or JSON."""
+def _emit_rows(rows, columns, fmt, output) -> None:
+    """Write a list of row dicts, or a {label: list} of labeled sections, as CSV or JSON."""
+    labeled = isinstance(rows, dict)
     if fmt == "json":
-        payload = {"rows": rows} if sections is None else sections
+        payload = rows if labeled else {"rows": rows}
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
         return
     lines = []
-    for name, section_rows in ({None: rows} if sections is None else sections).items():
+    for name, section_rows in (rows if labeled else {None: rows}).items():
         if name is not None:
             lines.append(f"# {name}")
         lines.append(",".join(columns))
@@ -193,13 +194,7 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r["witness_id"], r["pairing"], r["n"], r["m"]))
     diagonal = [r for r in rows if r["n"] == r["m"]]
     columns = ["n", "m", "pairing", "witness_id", "value", "uncertainty", "detected"]
-    _emit_rows(
-        rows,
-        columns,
-        args.format,
-        args.output,
-        sections={"sweep": rows, "diagonal": diagonal},
-    )
+    _emit_rows({"sweep": rows, "diagonal": diagonal}, columns, args.format, args.output)
     return 0
 
 

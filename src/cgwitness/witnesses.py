@@ -25,15 +25,17 @@ deviations wide it reports entanglement for product states.
 `witness_grid` evaluates the data witnesses on every pair of two lists of
 binned marginals, and `sweep_grid` on two scans at every requested pair of
 rebin factors; a single cell is the 1x1 grid. Both go through one core:
-each marginal is reduced once to (B,) variances and entropies (`_reduce`;
-the point estimate is the B = 1 row of its exact masses, `_point_stats`),
-ln C is tabulated once per distinct width product (`_log_bound_table`),
-and `_combine`, the one definition of each witness formula, yields the
-(S, B) values of one position marginal against every momentum marginal.
-`_witness_values` takes each such row to values or standard errors and
-refuses any that is not finite, the one such check. Replicates are drawn
-and reduced in row blocks of at most _BLOCK_ELEMENTS draws, and errors
-are taken one row at a time, so no array holds R * S * B elements.
+each marginal is reduced once to one _MarginalStats whose row 0 is the
+point estimate, the statistics of its exact masses (`_point_stats`), and
+whose rows 1.. are its replicates (`_reduce`, one row each); ln C is
+tabulated once per distinct width product (`_log_bound_table`), and
+`_combine`, the one definition of each witness formula, yields the (S, 1 + B)
+values of one position marginal against every momentum marginal.
+`_witness_values` takes column 0 of each such row as the value and the
+spread of the others as its standard error, and refuses any that is not
+finite, the one such check. Replicates are drawn and reduced in row blocks
+of at most _BLOCK_ELEMENTS draws, and errors are taken one row at a time,
+so no array holds R * S * B elements.
 
 Errors. Counts fluctuate Poisson-wise and the slit micrometers place each
 bin center only to finite precision, so `sweep_grid` with an ErrorModel
@@ -125,9 +127,9 @@ def _needs(witness_ids) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class _MarginalStats:
-    """Statistics of one binned marginal, one entry per replicate.
+    """Statistics of one binned marginal: row 0 the point estimate, rows 1.. its replicates.
 
-    kept marks the replicates whose counts drew a positive total. variance
+    kept marks the rows whose counts drew a positive total. variance
     (discrete, over the bin centers) and entropy (discrete, in nats) are NaN
     where kept is False, and None when no requested witness needs them.
     """
@@ -158,6 +160,16 @@ def _reduce(
 def _point_stats(d: DiscreteDistribution, need_variance: bool, need_entropy: bool):
     """The B = 1 statistics of the exact masses of d."""
     return _reduce(d.grid.width, d.masses[None, :], d.grid.centers, need_variance, need_entropy)
+
+
+def _stacked_rows(parts) -> _MarginalStats:
+    """The rows of parts, statistics of one marginal, concatenated in order."""
+
+    def rows(name):
+        arrays = [getattr(part, name) for part in parts]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    return _MarginalStats(parts[0].width, rows("kept"), rows("variance"), rows("entropy"))
 
 
 def discrete_variance(d: DiscreteDistribution) -> float:
@@ -208,7 +220,7 @@ def _log_bound_table(r_stats, s_stats) -> np.ndarray:
 
 
 def _combine(witness_id: str, r_stats, s_stats, log_bound):
-    """Yield the values (S, B) of one witness for each of r_stats against every s_stats.
+    """Yield the values (S, 1 + B) of one witness for each of r_stats against every s_stats.
 
     The formulas are those of the module docstring, with log_bound the
     (R, S, 1) table of _log_bound_table.
@@ -234,35 +246,35 @@ def _combine(witness_id: str, r_stats, s_stats, log_bound):
 def _kept_pairs(r_stats, s_stats) -> np.ndarray:
     """(R, S) counts of the replicates kept by both marginals, with no (R, S, B) mask."""
     kept_r, kept_s = (
-        np.stack([st.kept for st in stats]).astype(np.int64) for stats in (r_stats, s_stats)
+        np.stack([st.kept[1:] for st in stats]).astype(np.int64) for stats in (r_stats, s_stats)
     )
     return kept_r @ kept_s.T
 
 
-def _witness_values(
-    witness_ids, r_stats, s_stats, log_bound, spread=False
-) -> dict[str, np.ndarray]:
-    """{witness_id: (R, S) array} on every pair of r_stats and s_stats.
+def _witness_values(witness_ids, r_stats, s_stats, log_bound) -> dict[str, tuple]:
+    """{witness_id: (values, errors)}, each (R, S), on every pair of r_stats and s_stats.
 
-    Without spread, the values of one point each; with spread, the ddof=1
-    standard deviations over the replicates that both marginals kept. An
-    entry that is not finite raises InvalidParameterError.
+    values are the witness on row 0 of each marginal; errors are the ddof=1
+    standard deviations over rows 1.., the replicates that both marginals
+    kept, or None when the marginals hold row 0 alone. An entry that is not
+    finite raises InvalidParameterError, every value checked before any error.
     """
-    kept_s = np.stack([st.kept for st in s_stats])
+    kept_s = np.stack([st.kept[1:] for st in s_stats])
     out = {}
     for witness_id in witness_ids:
-        rows = []
-        for r, values in zip(r_stats, _combine(witness_id, r_stats, s_stats, log_bound)):
-            if spread:
-                rows.append(values.std(axis=-1, ddof=1, where=r.kept & kept_s))
-            else:
-                rows.append(values[:, 0])
-        values = np.stack(rows)
-        bad = values[~np.isfinite(values)]
+        values, errors = [], []
+        for r, rows in zip(r_stats, _combine(witness_id, r_stats, s_stats, log_bound)):
+            # a copy, not a view: a view would keep every (S, 1 + B) row alive
+            values.append(rows[:, 0].copy())
+            if kept_s.shape[1]:
+                errors.append(rows[:, 1:].std(axis=-1, ddof=1, where=r.kept[1:] & kept_s))
+        out[witness_id] = (np.stack(values), np.stack(errors) if errors else None)
+    checked = [(values, "") for values, _ in out.values()]
+    checked += [(errors, " as a standard error") for _, errors in out.values() if errors is not None]
+    for array, what in checked:
+        bad = array[~np.isfinite(array)]
         if bad.size:
-            what = " as a standard error" if spread else ""
             raise InvalidParameterError(f"witness value must be finite, got {bad[0]}{what}")
-        out[witness_id] = values
     return out
 
 
@@ -291,7 +303,8 @@ def witness_grid(r, s, witness_ids=DATA_WITNESS_IDS) -> dict[str, np.ndarray]:
     r_stats = [_point_stats(d, need_variance, need_entropy) for d in r]
     s_stats = [_point_stats(d, need_variance, need_entropy) for d in s]
     log_bound = _log_bound_table(r_stats, s_stats) if need_entropy else None
-    return _witness_values(witness_ids, r_stats, s_stats, log_bound)
+    grid = _witness_values(witness_ids, r_stats, s_stats, log_bound)
+    return {witness_id: values for witness_id, (values, _) in grid.items()}
 
 
 @dataclass(frozen=True)
@@ -361,59 +374,49 @@ def sweep_grid(
     root = None if em is None else SeedSequence(em.seed)
 
     def marginal_stats(jc: JointCounts, sign: str, factors):
-        """Point and replicate statistics of jc's sign-diagonal marginal at each factor."""
+        """Statistics of jc's sign-diagonal marginal at each factor: the point, then the replicates."""
         base = global_marginal(jc, sign)
-        points, replicates = [], []
+        stats = []
         for f in factors:
             h = rebin(base, f)
-            points.append(_point_stats(h.normalize(), need_variance, need_entropy))
-            if em is None:
-                continue
-            # resample the occupied bins em.replicates times, a block of rows
-            # at a time; each block continues the same two streams, so the
-            # draws are those of one (replicates, K) call
-            key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
-            occupied = h.counts > 0
-            counts, centers = h.counts[occupied], h.grid.centers[occupied]
-            counts_rng = _stream(root, key + (_COUNTS_STREAM,))
-            jitter_rng = None
-            if need_variance and em.center_jitter:
-                sigma = bin_center_error(jc, f)
-                jitter_rng = _stream(root, key + (_JITTER_STREAM,))
-            kept = np.empty(em.replicates, dtype=bool)
-            variance = np.empty(em.replicates) if need_variance else None
-            entropy = np.empty(em.replicates) if need_entropy else None
-            step = max(1, _BLOCK_ELEMENTS // counts.size)
-            for lo in range(0, em.replicates, step):
-                rows = slice(lo, lo + step)
-                shape = (min(step, em.replicates - lo), counts.size)
-                weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
-                x = centers
-                if jitter_rng is not None:
-                    x = jitter_rng.normal(0.0, sigma, shape)
-                    x += centers
-                block = _reduce(h.grid.width, weights, x, need_variance, need_entropy)
-                kept[rows] = block.kept
-                if need_variance:
-                    variance[rows] = block.variance
-                if need_entropy:
-                    entropy[rows] = block.entropy
-            replicates.append(_MarginalStats(h.grid.width, kept, variance, entropy))
-        return points, replicates
+            parts = [_point_stats(h.normalize(), need_variance, need_entropy)]
+            if em is not None:
+                # resample the occupied bins em.replicates times, a block of
+                # rows at a time; each block continues the same two streams,
+                # so the draws are those of one (replicates, K) call
+                key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
+                occupied = h.counts > 0
+                counts, centers = h.counts[occupied], h.grid.centers[occupied]
+                counts_rng = _stream(root, key + (_COUNTS_STREAM,))
+                jitter_rng = None
+                if need_variance and em.center_jitter:
+                    sigma = bin_center_error(jc, f)
+                    jitter_rng = _stream(root, key + (_JITTER_STREAM,))
+                step = max(1, _BLOCK_ELEMENTS // counts.size)
+                for lo in range(0, em.replicates, step):
+                    shape = (min(step, em.replicates - lo), counts.size)
+                    weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
+                    x = centers
+                    if jitter_rng is not None:
+                        x = jitter_rng.normal(0.0, sigma, shape)
+                        x += centers
+                    parts.append(_reduce(h.grid.width, weights, x, need_variance, need_entropy))
+            stats.append(_stacked_rows(parts))
+        return stats
 
     log_bound = None
     out = {}
     for pairing in pairings:
         # the diagonal sign is the second character of each variable ("x+", "p-")
         sign_r, sign_s = (variable[1] for variable in PAIRINGS[pairing])
-        r_point, r_reps = marginal_stats(position, sign_r, n_list)
-        s_point, s_reps = marginal_stats(momentum, sign_s, m_list)
+        r_stats = marginal_stats(position, sign_r, n_list)
+        s_stats = marginal_stats(momentum, sign_s, m_list)
         if need_entropy and log_bound is None:
             # a marginal's width depends on its scan, not its diagonal sign,
             # so one table serves both pairings
-            log_bound = _log_bound_table(r_point, s_point)
+            log_bound = _log_bound_table(r_stats, s_stats)
         if em is not None:
-            discarded = em.replicates - _kept_pairs(r_reps, s_reps)
+            discarded = em.replicates - _kept_pairs(r_stats, s_stats)
             i, j = np.unravel_index(np.argmax(discarded), discarded.shape)
             if discarded[i, j] > 0.1 * em.replicates:
                 raise PropagationError(
@@ -421,10 +424,6 @@ def sweep_grid(
                     f"counts at n={n_list[i]}, m={m_list[j]}, pairing {pairing}; "
                     "data too sparse for Monte Carlo propagation"
                 )
-        values = _witness_values(witness_ids, r_point, s_point, log_bound)
-        errors = dict.fromkeys(witness_ids)
-        if em is not None:
-            errors = _witness_values(witness_ids, r_reps, s_reps, log_bound, spread=True)
-        for witness_id in witness_ids:
-            out[pairing, witness_id] = (values[witness_id], errors[witness_id])
+        for witness_id, pair in _witness_values(witness_ids, r_stats, s_stats, log_bound).items():
+            out[pairing, witness_id] = pair
     return out

@@ -17,7 +17,6 @@ from cgwitness import (
 from cgwitness.bound import (
     CONTINUOUS_BOUND_CONSTANT,
     FLAT_BRANCH_END,
-    TAIL_SWITCH,
     _scaled_eigenvalue,
 )
 from cgwitness.cli import DEFAULT_FACTORS, main
@@ -28,7 +27,7 @@ FLAT = 1.0 / (2.0 * math.e * math.pi)
 
 
 def _tail(c: float) -> float:
-    """The asymptotic tail of lambda0 that takes over above TAIL_SWITCH."""
+    """The asymptotic tail of lambda0, an independent reference for c >= 14."""
     return 1.0 - 4.0 * math.sqrt(math.pi * c) * math.exp(-2.0 * c) * (1.0 - 0.455 / c)
 
 
@@ -54,13 +53,36 @@ class TestRadialFunction:
 
 class TestNystrom:
     def test_node_convergence(self):
-        # 32 nodes against 96 (numpy's leggauss), in ln C, on the whole
-        # curved segment the solve serves
+        # 32 nodes against 96 (numpy's leggauss), in ln C, on the curved
+        # segment up to c = 14, where lambda0 is still below 1 - 1e-11
         x, w = np.polynomial.legendre.leggauss(96)
         separation, root_weights = (x[:, None] - x[None, :]) / math.pi, np.sqrt(np.outer(w, w))
-        for g in np.linspace(FLAT_BRANCH_END, 8.0 * TAIL_SWITCH, 61):
+        for g in np.linspace(FLAT_BRANCH_END, 112.0, 61):
             want = np.linalg.eigvalsh(root_weights * np.sinc(g / 8.0 * separation))[-1]
             assert abs(math.log(_scaled_eigenvalue(g / 8.0)) - math.log(want)) < 1e-13, g
+
+    def test_clip_to_one_is_exact_beyond_one_node_rayleigh_quotient(self):
+        # the Nystrom matrix's largest diagonal entry is max(w), so its top
+        # eigenvalue gives lambda0 >= c max(w) / pi >= 1 from c = pi / max(w)
+        c = math.pi / bound._WEIGHTS.max()
+        assert c < 33
+        assert c / math.pi * _scaled_eigenvalue(c) >= 1.0
+        assert concentration_eigenvalue(c) == 1.0
+
+    def test_one_route_tracks_a_128_node_solve_from_14_to_40(self):
+        # the 32-node solve, clipped to 1, within 1e-14 of 128 nodes and never
+        # below it by more than 1e-15, and within 1e-13 of the tail reference;
+        # lambda0's eigenfunction is even, so the 128-node reference solves the
+        # 64 x 64 even block K(x_i, x_j) + K(x_i, -x_j) of the symmetric nodes
+        x, w = np.polynomial.legendre.leggauss(128)
+        x, root_weights = x[:64], np.sqrt(np.outer(w[:64], w[:64]))
+        minus, plus = ((x[:, None] + sign * x[None, :]) / math.pi for sign in (-1.0, 1.0))
+        for c in np.arange(1400, 4001) / 100.0:
+            even = root_weights * (np.sinc(c * minus) + np.sinc(c * plus))
+            top = np.linalg.eigvalsh(even)[-1]
+            got = concentration_eigenvalue(c)
+            assert -1e-15 <= got - min(1.0, c / math.pi * top) <= 1e-14, c
+            assert abs(got - min(1.0, _tail(c))) < 1e-13, c
 
     def test_nodes_match_numpy_leggauss(self):
         x, w = np.polynomial.legendre.leggauss(32)
@@ -115,13 +137,13 @@ class TestConcentrationEigenvalue:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_nystrom_to_tail_handoff_is_smooth(self):
-        # the asymptotic tail takes over above c = 14
+        # one route on both sides of c = 14, where the tail reference meets it
         lo = concentration_eigenvalue(13.999)
         hi = concentration_eigenvalue(14.001)
         assert abs(hi - lo) < 1e-13
 
     def test_nystrom_meets_tail_at_switch(self):
-        c = TAIL_SWITCH
+        c = 14.0
         assert abs(concentration_eigenvalue(c) - _tail(c)) < 1e-13
 
     def test_small_c_quadratic(self):
@@ -172,17 +194,20 @@ class TestEntropicBoundConstant:
 
 
 def _curved_branch(g: float) -> float:
-    """The curved branch lambda0(g/8)/g through the Nystrom eigensolve, g/8 <= 14."""
+    """The curved branch lambda0(g/8)/g through the Nystrom eigensolve, before the clip."""
     return _scaled_eigenvalue(g / 8.0) / (8.0 * math.pi)
 
 
 def _full_route(g: float) -> float:
-    """min(flat, curved) with the curved branch evaluated at every g > 0."""
+    """min(flat, curved, 1/g) with the curved branch evaluated at every g > 0.
+
+    1/g exceeds the flat value on the flat segment, and overflows near 0,
+    so it joins the min only off that segment.
+    """
     if g == 0.0:
         return CONTINUOUS_BOUND_CONSTANT
-    c = g / 8.0
-    curved = _curved_branch(g) if c <= TAIL_SWITCH else concentration_eigenvalue(c) / g
-    return min(CONTINUOUS_BOUND_CONSTANT, curved)
+    route = min(CONTINUOUS_BOUND_CONSTANT, _curved_branch(g))
+    return route if g < FLAT_BRANCH_END else min(route, 1.0 / g)
 
 
 class TestFlatSegment:
@@ -206,7 +231,7 @@ class TestFlatSegment:
         g_star = branch_switch_gamma()
         gammas = np.concatenate(
             (
-                [0.0, 5e-324, 1e-300, FLAT_BRANCH_END, g_star, 8.0 * TAIL_SWITCH],
+                [0.0, 5e-324, 1e-300, FLAT_BRANCH_END, g_star, 112.0],
                 np.nextafter(FLAT_BRANCH_END, [0.0, np.inf]),
                 g_star * (1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])),
                 np.geomspace(1e-12, 1e3, 151),

@@ -70,20 +70,33 @@ class TestSimulate:
         ]
         assert digests == ["d7edb5d95dee819f169ef603a1283b31", "8a1a68f8af8f61586f7e2fc293998bc2"]
 
+    @staticmethod
+    def _seed_42_sweep_digest(tmp_path, *flags):
+        """md5 of the default sweep of the seed-42, 1e5-count simulated pair."""
+        prefix = str(tmp_path / "scan")
+        assert main(["simulate", "--seed", "42", "--total-counts", "1e5", "--output-prefix", prefix]) == 0
+        out = tmp_path / "sweep.out"
+        assert main([
+            "sweep", f"{prefix}_position.txt", f"{prefix}_momentum.txt", *flags, "--output", str(out),
+        ]) == 0
+        return hashlib.md5(out.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize(
         "errors,digest",
         [("on", "b451ce77531b220f600031814332b129"), ("off", "57f6723ec220a76e62f240087211ad82")],
     )
     def test_seed_42_sweep_bytes_are_pinned(self, tmp_path, errors, digest):
         # any change to the marginals, the draws or the rounding of the reductions moves these
-        prefix = str(tmp_path / "scan")
-        assert main(["simulate", "--seed", "42", "--total-counts", "1e5", "--output-prefix", prefix]) == 0
-        out = tmp_path / "sweep.csv"
-        assert main([
-            "sweep", f"{prefix}_position.txt", f"{prefix}_momentum.txt",
-            "--errors", errors, "--output", str(out),
-        ]) == 0
-        assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+        assert self._seed_42_sweep_digest(tmp_path, "--errors", errors) == digest
+
+    @pytest.mark.parametrize(
+        "errors,digest",
+        [("on", "45204a441d06f7ce7eaa9f0ff92c3307"), ("off", "bbcd081365f1c555cc84e135c62350b7")],
+    )
+    def test_seed_42_sweep_json_bytes_are_pinned(self, tmp_path, errors, digest):
+        # the CSV's %.12g cells hide last-bit moves; JSON writes every float's repr
+        flags = ("--errors", errors, "--format", "json")
+        assert self._seed_42_sweep_digest(tmp_path, *flags) == digest
 
     def test_seed_changes_output(self, tmp_path):
         a_pos, _ = _simulate(tmp_path, "a", seed=5)

@@ -362,6 +362,22 @@ class TestImports:
         # sweep and demo-false-positive share one detection verdict
         assert _functions_with(root / "cli.py", _is_sign_test_of_value) == ["_detected"]
 
+    def test_one_evaluation_pass_and_one_bound_route(self):
+        root = Path(cgwitness.__file__).parent
+        # each witness formula runs once per pairing, point (row 0) and replicates together
+        calls_combine = lambda node: isinstance(node, ast.Call) and getattr(
+            node.func, "id", None
+        ) == "_combine"
+        assert _functions_with(root / "witnesses.py", calls_combine) == ["_witness_values"]
+        (fn,) = [
+            node
+            for node in ast.walk(ast.parse((root / "witnesses.py").read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "_witness_values"
+        ]
+        assert "spread" not in [a.arg for a in (*fn.args.args, *fn.args.kwonlyargs)]
+        # lambda0 has one route, the clipped Nystrom solve, and no asymptotic tail
+        assert "0.455" not in (root / "bound.py").read_text()
+
     def test_no_private_cross_module_imports(self):
         root = Path(cgwitness.__file__).parent
         found = {

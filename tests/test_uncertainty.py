@@ -374,20 +374,35 @@ class TestSweepGrid:
         assert len(calls) == len(set(calls)) == 88
 
     def test_values_match_single_cell_witnesses(self, scans):
-        # sweep_grid's point estimate and witness_grid share one core, so
-        # every cell of the default grid equals the 1x1 witness_grid on its
-        # rebinned, normalised marginals bit for bit
+        # sweep_grid's point estimate is row 0 of the core witness_grid runs,
+        # so with errors off and on every cell of the default grid equals the
+        # 1x1 witness_grid on its rebinned, normalised marginals bit for bit
         pos, mom = scans
         factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
-        grid = sweep_grid(pos, mom, factors, factors)
-        assert len(grid) == 2 * 3
-        for (pairing, witness_id), (values, unc) in grid.items():
-            assert unc is None
-            for i, n in enumerate(factors):
-                for j, m in enumerate(factors):
-                    r, s = rebinned_marginals(pos, mom, pairing, n, m)
-                    want = _cell_of_marginals(r, s, witness_id)
-                    assert values[i, j] == want, (pairing, witness_id, n, m)
+        for em in (None, ErrorModel(replicates=200)):
+            grid = sweep_grid(pos, mom, factors, factors, em)
+            assert len(grid) == 2 * 3
+            for (pairing, witness_id), (values, unc) in grid.items():
+                assert (unc is None) == (em is None)
+                for i, n in enumerate(factors):
+                    for j, m in enumerate(factors):
+                        r, s = rebinned_marginals(pos, mom, pairing, n, m)
+                        want = _cell_of_marginals(r, s, witness_id)
+                        assert values[i, j] == want, (em, pairing, witness_id, n, m)
+
+    @pytest.mark.parametrize("error_model", [None, ErrorModel(replicates=200)])
+    def test_one_combine_per_pairing_and_witness(self, scans, monkeypatch, error_model):
+        # the point and the replicates are rows of one pass
+        calls = []
+
+        def counted(witness_id, *args):
+            calls.append(witness_id)
+            return combine(witness_id, *args)
+
+        combine = witnesses._combine
+        monkeypatch.setattr(witnesses, "_combine", counted)
+        sweep_grid(*scans, [1, 3], [1, 5, 7], error_model)
+        assert sorted(calls) == sorted(2 * witnesses.DATA_WITNESS_IDS)
 
     def test_one_cell_grid_matches_larger_grid(self, scans):
         # each marginal draws from its own (axis, sign, factor) stream, so a
@@ -451,4 +466,6 @@ class TestSweepGrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2000 * em.replicates, peak / em.replicates
+        # ~830 B per replicate; point values kept as views of their
+        # (S, 1 + B) rows would keep every row alive and read ~1 640 B
+        assert peak < 1200 * em.replicates, peak / em.replicates
