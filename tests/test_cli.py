@@ -13,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cgwitness
+from cgwitness import witnesses
 from cgwitness.cli import MAX_TABLE_POINTS, main
 from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES
 from conftest import rebinned_marginals
+
+
+# md5 of the default sweep of the seed-42, 1e5-count simulated pair, by --errors
+SEED_42_SWEEP_CSV = {"on": "b451ce77531b220f600031814332b129", "off": "57f6723ec220a76e62f240087211ad82"}
+SEED_42_SWEEP_JSON = {"on": "45204a441d06f7ce7eaa9f0ff92c3307", "off": "bbcd081365f1c555cc84e135c62350b7"}
 
 
 def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
@@ -32,19 +38,20 @@ def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
     return tmp_path / f"{prefix}_position.txt", tmp_path / f"{prefix}_momentum.txt"
 
 
-def _run_python(*argv):
+def _run_python(*argv, preexec_fn=None):
     """Run `python ARGV` in a fresh interpreter that imports this cgwitness."""
     src = str(Path(cgwitness.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
     )
 
 
-def _run_cli(*args):
+def _run_cli(*args, preexec_fn=None):
     """Run `python -m cgwitness ARGS` in a fresh interpreter, capturing stderr."""
-    return _run_python("-m", "cgwitness", *args)
+    return _run_python("-m", "cgwitness", *args, preexec_fn=preexec_fn)
 
 
 class TestSimulate:
@@ -81,22 +88,39 @@ class TestSimulate:
         ]) == 0
         return hashlib.md5(out.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize(
-        "errors,digest",
-        [("on", "b451ce77531b220f600031814332b129"), ("off", "57f6723ec220a76e62f240087211ad82")],
-    )
+    @pytest.mark.parametrize("errors,digest", list(SEED_42_SWEEP_CSV.items()))
     def test_seed_42_sweep_bytes_are_pinned(self, tmp_path, errors, digest):
         # any change to the marginals, the draws or the rounding of the reductions moves these
         assert self._seed_42_sweep_digest(tmp_path, "--errors", errors) == digest
 
-    @pytest.mark.parametrize(
-        "errors,digest",
-        [("on", "45204a441d06f7ce7eaa9f0ff92c3307"), ("off", "bbcd081365f1c555cc84e135c62350b7")],
-    )
+    @pytest.mark.parametrize("errors,digest", list(SEED_42_SWEEP_JSON.items()))
     def test_seed_42_sweep_json_bytes_are_pinned(self, tmp_path, errors, digest):
         # the CSV's %.12g cells hide last-bit moves; JSON writes every float's repr
         flags = ("--errors", errors, "--format", "json")
         assert self._seed_42_sweep_digest(tmp_path, *flags) == digest
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_42_sweep_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, workers):
+        # the replicates of each pairing's marginals are drawn on one thread per CPU
+        monkeypatch.setattr(witnesses, "_cpu_count", lambda: workers)
+        assert self._seed_42_sweep_digest(tmp_path, "--errors", "on") == SEED_42_SWEEP_CSV["on"]
+        flags = ("--errors", "on", "--format", "json")
+        assert self._seed_42_sweep_digest(tmp_path, *flags) == SEED_42_SWEEP_JSON["on"]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two CPUs",
+    )
+    def test_one_cpu_writes_the_bytes_of_every_cpu(self, tmp_path):
+        pos, mom = _simulate(tmp_path)
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for pin in (None, lambda: os.sched_setaffinity(0, {one_cpu})):
+            out = tmp_path / f"sweep_{len(outputs)}.csv"
+            proc = _run_cli("sweep", str(pos), str(mom), "--errors", "on", "--output", str(out), preexec_fn=pin)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_seed_changes_output(self, tmp_path):
         a_pos, _ = _simulate(tmp_path, "a", seed=5)

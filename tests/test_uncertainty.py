@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -466,6 +469,101 @@ class TestSweepGrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # ~830 B per replicate; point values kept as views of their
+        # ~860 B per replicate on one thread and ~900 B on two (each
+        # worker holds its own block); point values kept as views of their
         # (S, 1 + B) rows would keep every row alive and read ~1 640 B
         assert peak < 1200 * em.replicates, peak / em.replicates
+
+
+def _with_workers(monkeypatch, workers):
+    """Make sweep_grid see `workers` CPUs, whatever this host has."""
+    monkeypatch.setattr(witnesses, "_cpu_count", lambda: workers)
+
+
+class TestWorkers:
+    """The marginals of a pairing are reduced on one thread per CPU; nothing else changes."""
+
+    @pytest.mark.parametrize("center_jitter", [True, False])
+    @pytest.mark.parametrize("pair", ["scans", "sparse_scans"])
+    def test_worker_count_never_changes_the_bytes(self, request, monkeypatch, pair, center_jitter):
+        pos, mom = request.getfixturevalue(pair)
+        em = ErrorModel(center_jitter=center_jitter, replicates=300, seed=4)
+        grids = {}
+        for workers in (1, 2, 3):
+            _with_workers(monkeypatch, workers)
+            grids[workers] = sweep_grid(pos, mom, [1, 3, 5, 9], [1, 3, 7], em)
+        for workers in (2, 3):
+            assert grids[workers].keys() == grids[1].keys()
+            for key, (values, unc) in grids[workers].items():
+                assert np.array_equal(values, grids[1][key][0]), (workers, key)
+                assert np.array_equal(unc, grids[1][key][1]), (workers, key)
+
+    def test_non_finite_refusal_raises_no_warning_in_a_thread(self, scans, monkeypatch):
+        # numpy's error state is per thread: each job sets it for itself
+        _with_workers(monkeypatch, 2)
+        threads = threading.active_count()
+        geometry = dataclasses.replace(scans[0].geometry, s_x_mm=1e200)
+        pos, mom = (JointCounts(jc.variable_pair, jc.step, jc.counts, geometry) for jc in scans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="witness value must be finite, got nan$"):
+                sweep_grid(pos, mom, [1, 3], [1], ErrorModel(replicates=100))
+        assert threading.active_count() == threads
+
+    def test_starved_counts_refusal_is_unchanged(self, geometry, monkeypatch):
+        ones = np.zeros((3, 3), dtype=np.int64)
+        ones[1, 1] = 1
+        pos = JointCounts(variable_pair="position", step=0.05, counts=ones, geometry=geometry)
+        mom = JointCounts(variable_pair="momentum", step=0.02, counts=ones, geometry=geometry)
+        messages = []
+        for workers in (1, 2):
+            _with_workers(monkeypatch, workers)
+            threads = threading.active_count()
+            with pytest.raises(PropagationError) as caught:
+                sweep_grid(pos, mom, [1, 3], [1], ErrorModel(replicates=200, seed=0))
+            assert threading.active_count() == threads
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_failure_in_serial_order_is_raised(self, scans, monkeypatch, workers):
+        # momentum factor 1 is the largest marginal, so it is handed out first,
+        # but the serial loop reaches position factor 9 before it
+        pos, mom = scans
+        failing = {
+            global_marginal(pos, "+").grid.width * 9: "position n=9",
+            global_marginal(mom, "-").grid.width * 1: "momentum m=1",
+        }
+        reduce = witnesses._reduce
+
+        def failing_reduce(width, *args):
+            if width in failing:
+                raise ValueError(failing[width])
+            return reduce(width, *args)
+
+        monkeypatch.setattr(witnesses, "_reduce", failing_reduce)
+        _with_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^position n=9$"):
+            sweep_grid(pos, mom, [1, 3, 5, 9, 13], [1, 3], ErrorModel(replicates=200), pairings=("pm",))
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_hands_out_no_more_jobs(self):
+        # the last job is the largest, so it is taken first, by either thread,
+        # and interrupts; at most the other thread's one job has started by
+        # then, and none of the jobs before it in list order start later
+        started = []
+
+        def job(i):
+            started.append(i)
+            if i == 7:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return i
+
+        jobs = [functools.partial(job, i) for i in range(8)]
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            witnesses._run_jobs(jobs, list(range(8)), 2)
+        assert threading.active_count() == threads
+        assert 7 in started and set(started) <= {7, 6}
