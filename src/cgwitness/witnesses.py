@@ -39,13 +39,14 @@ so no array holds R * S * B elements.
 
 Threads. With an ErrorModel, `sweep_grid` reduces the marginals of one
 pairing as independent jobs (`_run_jobs`) on up to one thread per CPU the
-process may use, the calling thread among them and the largest marginals
-first; numpy's draws and reductions release the GIL, so the jobs overlap.
-There is no setting: restricting the process's CPUs (taskset -c 0)
-restricts the threads. Each job owns its random streams and its rows
-reduce alone, so the output bytes do not depend on the number of threads,
-and an error is the one a serial loop over the jobs would raise first.
-Without an ErrorModel no thread starts.
+process may use, the calling thread among them, in list order; numpy's
+draws and reductions release the GIL, so the jobs overlap. There is no
+setting: restricting the process's CPUs (taskset -c 0) restricts the
+threads. The workers share one budget of _BLOCK_ELEMENTS draws, so the
+memory does not grow with the number of CPUs. Each job owns its random
+streams and its rows reduce alone, so the output bytes do not depend on
+the number of threads, and an error is the one a serial loop over the
+jobs would raise first. Without an ErrorModel no thread starts.
 
 Errors. Counts fluctuate Poisson-wise and the slit micrometers place each
 bin center only to finite precision, so `sweep_grid` with an ErrorModel
@@ -78,7 +79,7 @@ import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
 from ._kernels import batch_entropy, batch_weighted_moments
-from .binning import DiscreteDistribution, check_factor, rebin
+from .binning import DiscreteDistribution, rebin
 from .bound import entropic_bound_constant
 from .errors import (
     ConfigurationError,
@@ -103,12 +104,13 @@ _COUNTS_STREAM, _JITTER_STREAM = 0, 1
 MIN_REPLICATES = 100
 
 #: Largest replicate count: the default sweep needs ~0.9 KB per replicate
-#: (124 MB peak RSS at 10^5, of which 38 MB is already there at 10^3).
+#: at any thread count (124 MB peak RSS at 10^5, of which 38 MB is already
+#: there at 10^3).
 MAX_REPLICATES = 100_000
 
-#: Most Poisson draws held at once per marginal (~128 KB per float64 array):
-#: replicates are drawn and reduced in row blocks of at most this many, and
-#: each worker thread holds the block of the one marginal it is reducing.
+#: Most Poisson draws held at once (~128 KB per float64 array): replicates
+#: are drawn and reduced in row blocks, and each of w worker threads holds
+#: one block of at most _BLOCK_ELEMENTS / w draws (or one row, if longer).
 _BLOCK_ELEMENTS = 2**14
 
 #: Both evaluators run under this: overflow, inf - inf and a zero-total
@@ -353,35 +355,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs, sizes, workers: int) -> list:
-    """[job() for job in jobs], on up to `workers` threads, the largest sizes handed out first.
+def _run_jobs(jobs, workers: int) -> list:
+    """[job() for job in jobs], on `workers` threads that take the jobs in list order.
 
-    The calling thread is one of the workers, and no thread starts when one
-    worker suffices. After a job fails only the jobs before it in list order
-    are still handed out, so the exception raised is the one the serial loop
-    would meet first; an interrupt of the calling thread hands out no more.
+    The calling thread is one of the workers, and no thread starts for one.
+    A failure hands out no more jobs; every job before it in list order was
+    handed out already, so the earliest failure is the one a serial loop
+    would meet first, and it is raised (an interrupt before any error).
     Every thread is joined before this returns or raises.
     """
-    workers = min(workers, len(jobs))
     if workers <= 1:
         return [job() for job in jobs]
-    pending = sorted(range(len(jobs)), key=lambda i: -sizes[i])  # stable: ties in list order
+    pending = list(range(len(jobs)))
     results, failures = [None] * len(jobs), {}
     lock = threading.Lock()
 
-    def take():
-        with lock:
-            return pending.pop(0) if pending else None
-
     def work():
-        while (i := take()) is not None:
+        while True:
+            with lock:
+                if not pending:
+                    return
+                i = pending.pop(0)
             try:
                 results[i] = jobs[i]()
             except BaseException as exc:  # raised again below, by the calling thread
                 with lock:
                     failures[i] = exc
-                    # an error drops the jobs after it, an interrupt every job
-                    pending[:] = [j for j in pending if j < i and isinstance(exc, Exception)]
+                    pending.clear()
 
     threads = []
     try:
@@ -398,8 +398,8 @@ def _run_jobs(jobs, sizes, workers: int) -> list:
         for thread in threads:
             thread.join()
     if failures:
-        # an interrupt first, else the error of the earliest job
-        raise failures[min(failures, key=lambda i: (isinstance(failures[i], Exception), i))]
+        interrupts = [exc for exc in failures.values() if not isinstance(exc, Exception)]
+        raise interrupts[0] if interrupts else failures[min(failures)]
     return results
 
 
@@ -442,12 +442,11 @@ def sweep_grid(
         if pairing not in PAIRINGS:
             raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
     need_variance, need_entropy = _needs(witness_ids)
-    # refused here, before any work, so that every job's size below is defined
-    n_list, m_list = ([check_factor("rebin factor", f) for f in fs] for fs in (n_list, m_list))
     em = error_model
     root = None if em is None else SeedSequence(em.seed)
-    # the draws release the GIL; the point-only path is too short to gain from threads
-    workers = 1 if em is None else _cpu_count()
+    # one job per marginal of a pairing; the draws release the GIL, and the
+    # point-only path is too short to gain from threads
+    workers = 1 if em is None else min(_cpu_count(), len(n_list) + len(m_list))
 
     @_NONFINITE_SILENT  # the decorator sets numpy's error state in whichever thread runs it
     def marginal_stats(jc: JointCounts, base, sign: str, f: int) -> _MarginalStats:
@@ -458,7 +457,7 @@ def sweep_grid(
             # resample the occupied bins em.replicates times, a block of
             # rows at a time; each block continues the same two streams,
             # so the draws are those of one (replicates, K) call
-            key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], f)
+            key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
             occupied = h.counts > 0
             counts, centers = h.counts[occupied], h.grid.centers[occupied]
             counts_rng = _stream(root, key + (_COUNTS_STREAM,))
@@ -466,7 +465,7 @@ def sweep_grid(
             if need_variance and em.center_jitter:
                 sigma = bin_center_error(jc, f)
                 jitter_rng = _stream(root, key + (_JITTER_STREAM,))
-            step = max(1, _BLOCK_ELEMENTS // counts.size)
+            step = max(1, _BLOCK_ELEMENTS // (workers * counts.size))
             for lo in range(0, em.replicates, step):
                 shape = (min(step, em.replicates - lo), counts.size)
                 weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
@@ -482,16 +481,12 @@ def sweep_grid(
     for pairing in pairings:
         # the diagonal sign is the second character of each variable ("x+", "p-")
         sign_r, sign_s = (variable[1] for variable in PAIRINGS[pairing])
-        # one job per marginal of this pairing, sized by its occupied bins; a
-        # pairing at a time, since jobs of both would hold more rows at the peak
-        jobs, sizes = [], []
+        # a pairing at a time, since jobs of both would hold more rows at the peak
+        jobs = []
         for jc, sign, factors in ((position, sign_r, n_list), (momentum, sign_s, m_list)):
             base = global_marginal(jc, sign)
-            occupied = np.count_nonzero(base.counts)
-            for f in factors:
-                jobs.append(functools.partial(marginal_stats, jc, base, sign, f))
-                sizes.append(occupied / f)
-        stats = _run_jobs(jobs, sizes, workers)
+            jobs += [functools.partial(marginal_stats, jc, base, sign, f) for f in factors]
+        stats = _run_jobs(jobs, workers)
         r_stats, s_stats = stats[: len(n_list)], stats[len(n_list) :]
         if need_entropy and log_bound is None:
             # a marginal's width depends on its scan, not its diagonal sign,
