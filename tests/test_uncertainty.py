@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -583,3 +584,25 @@ class TestWorkers:
             witnesses._run_jobs(jobs, 2)
         assert threading.active_count() == threads
         assert 0 in started and set(started) <= {0, 1}
+
+    def test_many_threads_switching_often_run_each_job_once(self):
+        # more threads than cores and a thread switch every microsecond: a
+        # job taken twice, or a take that races past an empty list, shows here
+        started = []
+
+        def job(i):
+            started.append(i)
+            time.sleep(0)  # lets every other thread reach its next take
+            return np.full(64, i).sum()
+
+        jobs = [functools.partial(job, i) for i in range(400)]
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = witnesses._run_jobs(jobs, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert sorted(started) == list(range(400))
+        assert results == [64 * i for i in range(400)]
