@@ -160,15 +160,14 @@ def cmd_sweep(args) -> int:
     if not witness_ids:
         raise ConfigurationError("--witnesses must not be empty")
     _refuse_duplicates(witness_ids, "--witnesses")
-    error_model = None
-    if args.errors == "on":
-        error_model = ErrorModel(replicates=args.replicates, seed=args.seed)
+    # built in both modes, so a bad --replicates is refused with errors off too
+    error_model = ErrorModel(replicates=args.replicates, seed=args.seed)
     grid = sweep_grid(
         position,
         momentum,
         n_list,
         m_list,
-        error_model,
+        error_model if args.errors == "on" else None,
         pairings=pairings,
         witness_ids=witness_ids,
     )

@@ -603,6 +603,30 @@ class TestExitCodes:
         assert f"at most {MAX_REPLICATES} and at least {MIN_REPLICATES}" in proc.stderr
         assert "fast_mode" not in proc.stderr
 
+    @pytest.mark.parametrize("errors", ["on", "off"])
+    @pytest.mark.parametrize("replicates", ["0", "50", "100001"])
+    def test_bad_replicates_exit_2_in_both_error_modes(self, tmp_path, capsys, errors, replicates):
+        # ErrorModel owns the rule; the sweep builds one even when it draws nothing
+        pos, mom = _simulate(tmp_path, total=20_000)
+        capsys.readouterr()
+        code = main(["sweep", str(pos), str(mom), "--errors", errors, "--replicates", replicates])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: replicates must be at most {MAX_REPLICATES} "
+            f"and at least {MIN_REPLICATES}, got {replicates}\n"
+        )
+
+    def test_replicates_do_not_change_an_errors_off_sweep(self, tmp_path, capsys):
+        pos, mom = _simulate(tmp_path, total=20_000)
+        capsys.readouterr()
+        outputs = []
+        for flags in ([], ["--replicates", "100"], ["--replicates", str(MAX_REPLICATES)]):
+            assert main(["sweep", str(pos), str(mom), "--errors", "off", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_too_many_table_points_exits_2_without_traceback(self):
         # 10^11 points would first allocate ~745 GiB of grid
         proc = _run_cli("bound-table", "--points", "100000000000")

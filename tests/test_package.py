@@ -362,6 +362,27 @@ class TestImports:
         # sweep and demo-false-positive share one detection verdict
         assert _functions_with(root / "cli.py", _is_sign_test_of_value) == ["_detected"]
 
+    def test_one_concurrency_primitive(self):
+        # sweep_grid's jobs run on the standard library's thread pool, which
+        # orders results and failures; no hand-made threads or locks beside it
+        tree = ast.parse((Path(cgwitness.__file__).parent / "witnesses.py").read_text())
+        imported = {
+            name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (
+                [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            )
+        }
+        assert not imported & {"threading", "functools"}, imported
+        named = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not named & {"Thread", "Lock", "RLock"}, named & {"Thread", "Lock", "RLock"}
+        assert "ThreadPoolExecutor" in named
+
     def test_one_evaluation_pass_and_one_bound_route(self):
         root = Path(cgwitness.__file__).parent
         # each witness formula runs once per pairing, point (row 0) and replicates together

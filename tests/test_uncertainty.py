@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import sys
@@ -539,6 +538,20 @@ class TestWorkers:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
+    def test_a_point_only_sweep_stays_on_the_calling_thread(self, scans, monkeypatch):
+        # point-only jobs are too short to repay the hand-off to a pool thread
+        threads = []
+        reduce = witnesses._reduce
+
+        def recording_reduce(*args):
+            threads.append(threading.current_thread())
+            return reduce(*args)
+
+        monkeypatch.setattr(witnesses, "_reduce", recording_reduce)
+        _with_workers(monkeypatch, 2)
+        sweep_grid(*scans, [1, 3], [1, 3])
+        assert len(threads) == 8 and set(threads) == {threading.current_thread()}
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_the_first_failure_in_serial_order_is_raised(self, scans, monkeypatch, workers):
         # position factors 1 and 3 start together on two threads; factor 3
@@ -565,44 +578,53 @@ class TestWorkers:
         assert later_failed.is_set()
         assert threading.active_count() == threads
 
-    def test_an_interrupt_hands_out_no_more_jobs(self):
-        # the jobs are taken in list order: the first interrupts at once, by
-        # then the other thread has taken at most the second job, and no
-        # later job starts
+    def test_an_interrupt_starts_no_queued_job(self, scans, monkeypatch):
+        # the first position marginal interrupts at once, the others take
+        # ~0.1 s each; once the interrupt reaches the caller the pool cancels
+        # every queued job, so only those already running finish
+        pos, mom = scans
+        n_list, m_list = [1, 3, 5, 7, 9], [1, 3, 5]
+        pos_width = global_marginal(pos, "+").grid.width
+        mom_width = global_marginal(mom, "-").grid.width
+        widths = [pos_width * n for n in n_list] + [mom_width * m for m in m_list]
+        assert len(set(widths)) == len(widths)  # each job is known by its width
         started = []
+        reduce = witnesses._reduce
 
-        def job(i):
-            started.append(i)
-            if i == 0:
-                raise KeyboardInterrupt
-            time.sleep(0.2)
-            return i
+        def interrupting_reduce(w, *args):
+            if w not in started:  # a job's first reduction is its point estimate
+                started.append(w)
+                if w == pos_width:
+                    raise KeyboardInterrupt
+                time.sleep(0.1)
+            return reduce(w, *args)
 
-        jobs = [functools.partial(job, i) for i in range(8)]
+        monkeypatch.setattr(witnesses, "_reduce", interrupting_reduce)
+        _with_workers(monkeypatch, 2)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            witnesses._run_jobs(jobs, 2)
+            sweep_grid(pos, mom, n_list, m_list, ErrorModel(replicates=100), pairings=("pm",))
         assert threading.active_count() == threads
-        assert 0 in started and set(started) <= {0, 1}
+        assert pos_width in started and len(started) < len(widths), started
 
-    def test_many_threads_switching_often_run_each_job_once(self):
+    def test_many_threads_switching_often_give_the_bytes_of_one(self, scans, monkeypatch):
         # more threads than cores and a thread switch every microsecond: a
-        # job taken twice, or a take that races past an empty list, shows here
-        started = []
-
-        def job(i):
-            started.append(i)
-            time.sleep(0)  # lets every other thread reach its next take
-            return np.full(64, i).sum()
-
-        jobs = [functools.partial(job, i) for i in range(400)]
+        # job run twice, lost or returned out of order shows here
+        pos, mom = scans
+        factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
+        em = ErrorModel(replicates=100, seed=5)
+        _with_workers(monkeypatch, 1)
+        serial = sweep_grid(pos, mom, factors, factors, em)
+        _with_workers(monkeypatch, 16)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = witnesses._run_jobs(jobs, 16)
+            threaded = sweep_grid(pos, mom, factors, factors, em)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        assert sorted(started) == list(range(400))
-        assert results == [64 * i for i in range(400)]
+        assert threaded.keys() == serial.keys()
+        for key, (values, unc) in threaded.items():
+            assert np.array_equal(values, serial[key][0]), key
+            assert np.array_equal(unc, serial[key][1]), key
