@@ -90,20 +90,23 @@ class BinGrid:
 
 
 def frozen_counts(counts) -> np.ndarray:
-    """A read-only int64 copy of an integer count array of any shape.
+    """A read-only int64 array of an integer count array of any shape.
 
     Refuses a non-integer dtype, a negative count and a total that an int64
-    sum would wrap. Always a copy, so a caller's array is never frozen or
-    aliased.
+    sum would wrap, by reductions that make no count-sized temporary. A
+    read-only int64 array that owns its memory is taken as it is; every
+    other array, writable arrays and views included, is copied, so a
+    caller's writable array is never frozen or aliased.
     """
     c = np.asarray(counts)
     if not np.issubdtype(c.dtype, np.integer):
         raise InvalidParameterError("counts must be integers")
-    c = c.astype(np.int64)
-    if np.any(c < 0):
+    if c.dtype != np.int64 or c.flags.writeable or not c.flags.owndata:
+        c = c.astype(np.int64)
+    if c.size and c.min() < 0:
         raise InvalidParameterError("counts must be nonnegative")
-    # the float sum flags candidates; the exact Python sum decides
-    if c.sum(dtype=np.float64) >= 2.0**62 and sum(c.ravel().tolist()) > MAX_COUNT:
+    # the float sum flags candidates; the exact sum of Python ints decides
+    if c.sum(dtype=np.float64) >= 2.0**62 and c.sum(dtype=object) > MAX_COUNT:
         raise InvalidParameterError(f"counts total above {MAX_COUNT}")
     c.setflags(write=False)
     return c

@@ -14,9 +14,7 @@ rebinned by f (bin_center_error) is step*sqrt(2) times f*(f1/f2) and
 
 from __future__ import annotations
 
-import io
 import math
-import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -193,18 +191,22 @@ def load_joint_counts(path) -> JointCounts:
     malformed headers, text that is not UTF-8, non-integer or negative
     counts, counts above the int64 range, and ragged rows.
 
-    The header is read once. The count block after it is read by one
-    np.loadtxt call, and again line by line if that call refuses it or it
-    fails a check; only the line reader raises errors on counts, so they
-    are the same on either path.
+    The header is read line by line from the start of the file. The open
+    file, at the first data line, then streams the count block into one
+    np.loadtxt call; if that call refuses the block or it fails a check,
+    the block is read again, whole, by the line reader. Only the line
+    reader raises errors on counts, so they are the same on either path.
+    The parsed matrix is frozen in place and the JointCounts keeps it, so
+    a load holds about one count-sized array, never a copy of the file.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    header, start, lineno = _read_header(data)
-    counts = _loadtxt_counts(data[start:])
-    if counts is None:
-        counts = np.array(_parse_rows(data[start:], lineno), dtype=np.int64)
-    del data  # free the file before JointCounts copies the counts
+        header, start, lineno = _read_header(fh)
+        fh.seek(start)
+        counts = _loadtxt_counts(fh)
+        if counts is None:
+            fh.seek(start)
+            counts = np.array(_parse_rows(fh.read(), lineno), dtype=np.int64)
+    counts.setflags(write=False)  # so frozen_counts takes it without a copy
     return _joint_counts(header, counts)
 
 
@@ -215,51 +217,58 @@ def _decoded(raw: bytes, lineno: int) -> str:
         raise ParseError("line is not UTF-8 text", line_number=lineno) from None
 
 
-#: One line and its ending, which is \n, \r\n or \r as in text-mode reading.
-_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
-
-
-def _read_header(data: bytes) -> tuple[dict[str, str], int, int]:
-    """Header of a scan file, then the byte offset and line number of its first data line.
+def _read_header(fh) -> tuple[dict[str, str], int, int]:
+    """Header of a binary scan file, then the byte offset and line number of its first data line.
 
     Header lines start with "#"; blank lines are skipped. Without a data
-    line the offset is len(data). Lines are matched one at a time, so the
-    count block after the header is never copied.
+    line the offset is the file's length. Lines end at LF, CR LF or CR, as
+    in text-mode reading. The file is read one LF-ended piece at a time,
+    so the count block after the header is never read whole.
     """
     header: dict[str, str] = {}
-    offset = 0
-    # the last match is the empty one at len(data), one past the last line
-    for lineno, match in enumerate(_LINE.finditer(data), start=1):
-        line = _decoded(match[0], lineno)
-        if line.startswith("#"):
-            key, sep, value = line.lstrip("#").strip().partition("=")
-            if not sep:
-                raise ParseError(f"malformed header {line!r}", line_number=lineno)
-            header[key.strip()] = value.strip()
-        elif line:
-            return header, offset, lineno
-        offset = match.end()
+    offset, lineno = 0, 1
+    for piece in fh:  # a piece ends at LF, so no CR LF pair is split
+        for raw in piece.splitlines(keepends=True):
+            line = _decoded(raw, lineno)
+            if line.startswith("#"):
+                key, sep, value = line.lstrip("#").strip().partition("=")
+                if not sep:
+                    raise ParseError(f"malformed header {line!r}", line_number=lineno)
+                header[key.strip()] = value.strip()
+            elif line:
+                return header, offset, lineno
+            offset += len(raw)
+            lineno += 1
     return header, offset, lineno
 
 
-def _loadtxt_counts(block: bytes) -> np.ndarray | None:
-    """The count matrix of a block of data lines, or None to fall back.
+#: Bytes read at a time by the pre-scan of a count block.
+_CHUNK = 1 << 16
+
+
+def _loadtxt_counts(fh) -> np.ndarray | None:
+    """The count matrix of the data lines of a binary file from its position on, or None to fall back.
 
     Takes only what np.loadtxt reads exactly as int() does: ASCII text
     (loadtxt reads some other letters as digits) with no "#", since a
     header after data must raise, and none of the bytes 0x1c-0x1f, which
-    loadtxt skips as whitespace where int() refuses them. BytesIO splits
-    lines at LF alone and loadtxt rejects a CR inside a line, so CR-only
-    line endings fall back, as do "1_000" and values beyond int64. Negative
+    loadtxt skips as whitespace where int() refuses them. A pre-scan reads
+    the block _CHUNK bytes at a time for those bytes, then loadtxt reads
+    it again from the same position. Iterating a binary file splits lines
+    at LF alone and loadtxt rejects a CR inside a line, so CR-only line
+    endings fall back, as do "1_000" and values beyond int64. Negative
     counts are left to _parse_rows, for its line number, and an empty
     block to _joint_counts.
     """
-    if not block or any(byte in block for byte in b"#\x1c\x1d\x1e\x1f"):
+    start = fh.tell()
+    while chunk := fh.read(_CHUNK):
+        if any(byte in chunk for byte in b"#\x1c\x1d\x1e\x1f"):
+            return None
+    if fh.tell() == start:
         return None
+    fh.seek(start)
     try:
-        counts = np.loadtxt(
-            io.BytesIO(block), encoding="ascii", delimiter=",", dtype=np.int64, ndmin=2, comments=None
-        )
+        counts = np.loadtxt(fh, encoding="ascii", delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except ValueError:  # UnicodeDecodeError included
         return None
     if counts.size == 0 or counts.min() < 0:

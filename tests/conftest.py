@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -32,6 +33,17 @@ def random_discrete(rng, *, max_bins: int = 40) -> DiscreteDistribution:
     masses = rng.gamma(0.7, size=n) + 1e-12
     masses /= masses.sum()
     return DiscreteDistribution(BinGrid(width, j_min, j_min + n - 1), masses)
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def rebinned_marginals(position, momentum, pairing, n, m):

@@ -12,9 +12,11 @@ from cgwitness.binning import (
     CountHistogram,
     DiscreteDistribution,
     coarse_grain,
+    frozen_counts,
     rebin,
 )
 from cgwitness.errors import InvalidParameterError, TruncationError
+from conftest import traced_peak
 
 
 def _bin_edges(grid):
@@ -193,3 +195,16 @@ class TestCountHistogram:
         assert CountHistogram(BinGrid(1.0, 0, 1), np.array([big - 1, big])).total == 2**63 - 1
         with pytest.raises(InvalidParameterError, match="total above"):
             CountHistogram(BinGrid(1.0, 0, 1), np.array([big, big]))
+
+    def test_empty_counts_get_the_shape_error(self):
+        with pytest.raises(InvalidParameterError, match=r"expected 1 counts, got shape \(0,\)"):
+            CountHistogram(BinGrid(1.0, 0, 0), np.array([], dtype=np.int64))
+
+
+class TestFrozenCounts:
+    def test_checks_a_frozen_array_without_count_sized_temporaries(self):
+        counts = np.random.default_rng(4).integers(0, 50, size=10**6)
+        counts.setflags(write=False)
+        frozen, peak = traced_peak(lambda: frozen_counts(counts))
+        assert frozen is counts
+        assert peak < 0.1 * counts.nbytes, peak

@@ -1,5 +1,5 @@
+import io
 import textwrap
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from cgwitness import (
 from cgwitness import ingest
 from cgwitness.binning import MAX_INDEX
 from cgwitness.errors import ConfigurationError, InvalidParameterError, ParseError
+from conftest import traced_peak
 
 
 class TestGeometry:
@@ -78,6 +79,32 @@ class TestJointCounts:
         jc = JointCounts("position", 0.05, counts, geometry)
         assert not jc.counts.flags.writeable and counts.flags.writeable
         assert not np.shares_memory(jc.counts, counts)
+
+    def test_a_readonly_view_of_a_writable_base_is_copied(self, geometry):
+        base = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        view = base.view()
+        view.setflags(write=False)
+        jc = JointCounts("position", 0.05, view, geometry)
+        assert not jc.counts.flags.writeable and base.flags.writeable
+        assert not np.shares_memory(jc.counts, base)
+
+    def test_a_frozen_int64_array_that_owns_its_memory_is_kept(self, geometry):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        counts.setflags(write=False)
+        assert JointCounts("position", 0.05, counts, geometry).counts is counts
+
+    def test_a_frozen_array_of_another_integer_type_is_copied(self, geometry):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int32)
+        counts.setflags(write=False)
+        jc = JointCounts("position", 0.05, counts, geometry)
+        assert jc.counts.dtype == np.int64 and not jc.counts.flags.writeable
+        assert jc.counts.tolist() == counts.tolist()
+
+    def test_a_frozen_negative_count_is_still_refused(self, geometry):
+        counts = np.array([[1, -2]], dtype=np.int64)
+        counts.setflags(write=False)
+        with pytest.raises(InvalidParameterError, match="counts must be nonnegative"):
+            JointCounts("position", 0.05, counts, geometry)
 
     def test_non_integral_rejected(self, geometry):
         with pytest.raises(InvalidParameterError):
@@ -207,12 +234,7 @@ class TestGlobalMarginal:
         counts = np.random.default_rng(3).integers(0, 50, size=(500, 500))
         jc = JointCounts("position", 0.05, counts, geometry)
         for sign in "+-":
-            tracemalloc.start()
-            try:
-                global_marginal(jc, sign)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: global_marginal(jc, sign))
             assert peak < 0.1 * jc.counts.nbytes, (sign, peak)
 
 
@@ -435,7 +457,7 @@ def _assert_paths_agree(path, data):
     path.write_bytes(data)
 
     def line_by_line():
-        header, start, lineno = ingest._read_header(data)
+        header, start, lineno = ingest._read_header(io.BytesIO(data))
         rows = ingest._parse_rows(data[start:], lineno)
         return ingest._joint_counts(header, np.array(rows, dtype=np.int64))
 
@@ -485,6 +507,30 @@ _DIFFERENTIAL_BODIES = {
     "all_zero": b"0,0\n0,0\n",
     "total_above_int64": b"5000000000000000000,5000000000000000000\n1,2\n",
     "no_rows": b"\n\n",
+}
+
+
+#: Rows that fill two pre-scan chunks exactly.
+_LONG_ROWS = b"1,2\n" * (2 * ingest._CHUNK // 4)
+
+#: Whole files at the seams of the streamed reader: header reads, the
+#: chunked pre-scan and the ends of the file.
+_SEAM_FILES = {
+    "header_line_longer_than_a_read": _HEADER + b"# note=" + b"x" * (2 * ingest._CHUNK) + b"\n1,2\n3,4\n",
+    "header_longer_than_a_read": _HEADER * (2 * ingest._CHUNK // len(_HEADER) + 1) + b"1,2\n3,4\n",
+    "hash_in_last_chunk": _HEADER + _LONG_ROWS + b"3,#4\n",
+    "unit_separator_in_last_chunk": _HEADER + _LONG_ROWS + b"3,\x1c4\n",
+    "long_block": _HEADER + _LONG_ROWS + b"3,4\n",
+    "no_trailing_newline": _HEADER + b"1,2\n3,4",
+    "header_only": _HEADER,
+    "header_only_no_trailing_newline": _HEADER.rstrip(b"\n"),
+    "empty_file": b"",
+    "cr_only_header": _HEADER.replace(b"\n", b"\r") + b"1,2\n3,4\n",
+    "cr_only_file": (_HEADER + b"1,2\n3,4\n").replace(b"\n", b"\r"),
+    "cr_crlf_lf_header": _HEADER.replace(b"\n", b"\r", 4).replace(b"\n", b"\r\n", 4) + b"1,2\n3,4\n",
+    "cr_only_header_error": _HEADER.replace(b"# f3_mm=250.0", b"# f3_mm 250.0").replace(b"\n", b"\r")
+    + b"1,2\n3,4\n",
+    "cr_before_first_row": _HEADER + b"\r\r1,2\r\n3,4\n",
 }
 
 
@@ -544,21 +590,71 @@ class TestIngestPaths:
         # a short header and ~2 MB of counts: only the header lines are cut out
         row = b",".join(b"%d" % v for v in range(1000, 1400)) + b"\n"
         data = _HEADER + row * (2_000_000 // len(row))
-        tracemalloc.start()
-        try:
-            _, start, lineno = ingest._read_header(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (_, start, lineno), peak = traced_peak(lambda: ingest._read_header(io.BytesIO(data)))
         assert (start, lineno) == (len(_HEADER), _HEADER.count(b"\n") + 1)
         assert peak < 64 * 1024, peak
+
+    def test_load_holds_one_count_array(self, entangled_state, tmp_path):
+        # a 965 x 965 position scan as in the large_scan benchmark: 1.97 MB of
+        # text, 7.45 MB of counts. Reading the whole file, slicing its count
+        # block and copying the parsed matrix peaked at 2.13x the counts;
+        # streamed into loadtxt and frozen in place it peaks at 1.21x
+        jc = sample_joint_counts(entangled_state, OpticalGeometry(s_x_mm=0.005), "position", 1e7, seed=5)
+        save_joint_counts(jc, tmp_path / "scan.txt")
+        loaded, peak = traced_peak(lambda: load_joint_counts(tmp_path / "scan.txt"))
+        np.testing.assert_array_equal(loaded.counts, jc.counts)
+        assert not loaded.counts.flags.writeable
+        assert peak < 1.6 * loaded.counts.nbytes, peak / loaded.counts.nbytes
+
+    @pytest.mark.parametrize("data", _SEAM_FILES.values(), ids=_SEAM_FILES)
+    def test_stream_seams(self, tmp_path, data):
+        _assert_paths_agree(tmp_path / "scan.txt", data)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "header_line_longer_than_a_read",
+            "header_longer_than_a_read",
+            "no_trailing_newline",
+            "cr_only_header",
+            "cr_only_file",
+            "cr_crlf_lf_header",
+            "cr_before_first_row",
+        ],
+    )
+    def test_seam_files_give_the_plain_scan(self, tmp_path, name):
+        plain, seam = tmp_path / "plain.txt", tmp_path / "seam.txt"
+        plain.write_bytes(_HEADER + b"1,2\n3,4\n")
+        seam.write_bytes(_SEAM_FILES[name])
+        assert _outcome(lambda: load_joint_counts(seam)) == _outcome(lambda: load_joint_counts(plain))
+
+    def test_cr_only_header_errors_keep_their_line_numbers(self, tmp_path):
+        (tmp_path / "scan.txt").write_bytes(_SEAM_FILES["cr_only_header_error"])
+        with pytest.raises(ParseError, match="malformed header") as exc:
+            load_joint_counts(tmp_path / "scan.txt")
+        assert exc.value.line_number == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"# a=1", b"#a", b"1,2", b" ", b"\xff"])))
+    def test_header_read_by_lf_pieces_matches_a_whole_read(self, pieces):
+        # a one-element list hands _read_header the whole file as one piece
+        data = b"".join(pieces)
+
+        def outcome(source):
+            try:
+                return ingest._read_header(source)
+            except ParseError as exc:
+                return ("ParseError", str(exc), exc.line_number)
+
+        assert outcome(io.BytesIO(data)) == outcome([data])
 
     def test_saved_scan_takes_the_fast_path(self, entangled_state, geometry, tmp_path):
         jc = sample_joint_counts(entangled_state, geometry, "position", 1e4, seed=5)
         save_joint_counts(jc, tmp_path / "scan.txt")
-        data = (tmp_path / "scan.txt").read_bytes()
-        _, start, _ = ingest._read_header(data)
-        counts = ingest._loadtxt_counts(data[start:])
+        with open(tmp_path / "scan.txt", "rb") as fh:
+            _, start, _ = ingest._read_header(fh)
+            fh.seek(start)
+            counts = ingest._loadtxt_counts(fh)
         np.testing.assert_array_equal(counts, jc.counts)
 
     @pytest.mark.parametrize(
@@ -571,11 +667,17 @@ class TestIngestPaths:
             b"1,\xff\n",
             b"1,\x1c2\n",
             "1,2\u01fe\n".encode(),
+            b"",
+            _LONG_ROWS + b"3,#4\n",
+            _LONG_ROWS + b"3,\x1c4\n",
         ],
-        ids=["underscore", "cr_only", "hash", "negative", "non_utf8", "unit_separator", "non_ascii"],
+        ids=[
+            "underscore", "cr_only", "hash", "negative", "non_utf8", "unit_separator", "non_ascii",
+            "empty", "hash_in_last_chunk", "unit_separator_in_last_chunk",
+        ],
     )
     def test_fast_path_refuses(self, block):
-        assert ingest._loadtxt_counts(block) is None
+        assert ingest._loadtxt_counts(io.BytesIO(block)) is None
 
 
 class TestGeometryMatching:

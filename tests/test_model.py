@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from cgwitness import model
 from cgwitness.binning import BinGrid
 from cgwitness.errors import InvalidParameterError
 from cgwitness.model import MAX_EXPECTED_COUNTS
+from conftest import traced_peak
 
 
 class TestState:
@@ -110,17 +110,16 @@ class TestCoarseGrainedMarginal:
     def test_too_many_bins_refused_before_allocation(self):
         # width 1e-12 spans ~1.8e13 bins: refused before np.arange runs
         m = MarginalSpec("x+", 0.0, 1.0)
-        tracemalloc.start()
-        try:
+
+        def refuse_both():
             for call in (
                 lambda: coarse_grained_marginal(m, 1e-12),
                 lambda: sample_marginal_counts(m, 1e-12, 1e4, 0),
             ):
                 with pytest.raises(InvalidParameterError, match="too many bins"):
                     call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refuse_both)
         assert peak < 1_000_000
 
 

@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +28,7 @@ from cgwitness.errors import (
 from cgwitness import witnesses
 from cgwitness.ingest import bin_center_error
 from cgwitness.witnesses import MAX_REPLICATES, MIN_REPLICATES, PAIRINGS, sweep_grid
-from conftest import rebinned_marginals
+from conftest import rebinned_marginals, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -479,12 +478,7 @@ def _traced_peak_per_replicate() -> float:
     mom = sample_joint_counts(state, geometry, "momentum", 1e6, mom_seed)
     factors = [int(f) for f in DEFAULT_FACTORS.split(",")]
     em = ErrorModel(replicates=5000, seed=0)
-    tracemalloc.start()
-    try:
-        sweep_grid(pos, mom, factors, factors, em)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sweep_grid(pos, mom, factors, factors, em))
     return peak / em.replicates
 
 
