@@ -587,7 +587,7 @@ class TestIngestPaths:
         _assert_paths_agree(tmp_path_factory.mktemp("fuzz") / "scan.txt", data)
 
     def test_read_header_leaves_the_count_block_alone(self):
-        # a short header and ~2 MB of counts: only the header lines are cut out
+        # a short header and ~2 MB of counts: only the header lines are read
         row = b",".join(b"%d" % v for v in range(1000, 1400)) + b"\n"
         data = _HEADER + row * (2_000_000 // len(row))
         (_, start, lineno), peak = traced_peak(lambda: ingest._read_header(io.BytesIO(data)))
