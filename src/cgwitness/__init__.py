@@ -45,7 +45,6 @@ from .ingest import (
 )
 from .model import (
     GaussianTwoPhotonState,
-    GlobalMarginals,
     MarginalSpec,
     bin_mass_oracle,
     coarse_grained_marginal,
@@ -77,7 +76,6 @@ __all__ = [
     "DiscreteDistribution",
     "ErrorModel",
     "GaussianTwoPhotonState",
-    "GlobalMarginals",
     "InvalidParameterError",
     "JointCounts",
     "MarginalSpec",

@@ -101,6 +101,9 @@ def frozen_counts(counts) -> np.ndarray:
     c = np.asarray(counts)
     if not np.issubdtype(c.dtype, np.integer):
         raise InvalidParameterError("counts must be integers")
+    # an unsigned count above int64 would wrap negative in the cast
+    if c.dtype.kind == "u" and c.size and c.max() > MAX_COUNT:
+        raise InvalidParameterError(f"counts total above {MAX_COUNT}")
     if c.dtype != np.int64 or c.flags.writeable or not c.flags.owndata:
         c = c.astype(np.int64)
     if c.size and c.min() < 0:
@@ -125,13 +128,10 @@ class DiscreteDistribution:
     Attributes:
         grid: the underlying BinGrid.
         masses: one nonnegative mass per bin index, summing to 1.
-        captured_fraction: fraction of the source mass the grid captured
-            before renormalization (1.0 when constructed directly).
     """
 
     grid: BinGrid
     masses: np.ndarray
-    captured_fraction: float = 1.0
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=np.float64)
@@ -193,9 +193,9 @@ def coarse_grain(bin_mass_oracle: BinMassOracle, grid: BinGrid) -> DiscreteDistr
         grid: target grid.
 
     Returns:
-        DiscreteDistribution with renormalized masses and the captured
-        fraction recorded; a captured mass below 0.999 raises
-        TruncationError.
+        DiscreteDistribution of the masses divided by their sum, the mass
+        the grid captured; a captured mass below 0.999 raises
+        TruncationError, which reports it.
     """
     j = grid.indices
     lo = (j - 0.5) * grid.width
@@ -213,7 +213,7 @@ def coarse_grain(bin_mass_oracle: BinMassOracle, grid: BinGrid) -> DiscreteDistr
             f"grid captured only {captured:.6g} of the distribution (threshold 0.999)",
             captured_fraction=captured,
         )
-    return DiscreteDistribution(grid, masses / captured, captured_fraction=captured)
+    return DiscreteDistribution(grid, masses / captured)
 
 
 def check_factor(name: str, v) -> int:

@@ -210,7 +210,7 @@ def cmd_demo_false_positive(args) -> int:
     # equal widths make the state separable: the demonstration is about false positives
     state = GaussianTwoPhotonState(args.sigma, args.sigma)
     marg = exact_marginals(state)
-    r_spec, s_spec = marg.x_plus, marg.p_minus
+    r_spec, s_spec = (marg[variable] for variable in PAIRINGS["pm"])
     # bins span +/- multiplier standard deviations, i.e. width 2*multiplier*std:
     # at multiplier ~3 essentially all mass falls into the central bin
     width_r = 2.0 * args.multiplier * r_spec.std
@@ -307,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         "demo-false-positive",
         help="show the naive discrete witness failing on a separable state",
     )
-    p_demo.add_argument("--sigma", type=float, default=1.0, help="common marginal width")
+    p_demo.add_argument(
+        "--sigma",
+        type=float,
+        default=1.0,
+        help="common marginal width; it only rescales the width_r (by 1/sigma) and "
+        "width_s (by sigma) columns, not the witness values",
+    )
     p_demo.add_argument(
         "--multiplier",
         type=float,

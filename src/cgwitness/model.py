@@ -23,8 +23,6 @@ from .binning import MAX_COUNT, BinGrid, CountHistogram, DiscreteDistribution, c
 from .errors import InvalidParameterError, TruncationError, check_real, check_seed
 from .ingest import JointCounts, OpticalGeometry, detector_to_source_scale
 
-VARIABLE_NAMES = ("x+", "x-", "p+", "p-")
-
 # numpy has no error function: apply math's elementwise
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -65,44 +63,30 @@ class GaussianTwoPhotonState:
 
 @dataclass(frozen=True)
 class MarginalSpec:
-    """One global-variable marginal: a zero-mean Gaussian of known width."""
+    """One marginal: a Gaussian of the given mean and standard deviation."""
 
-    variable: str
     mean: float
     std: float
 
     def __post_init__(self):
-        if self.variable not in VARIABLE_NAMES:
-            raise InvalidParameterError(
-                f"variable must be one of {VARIABLE_NAMES}, got {self.variable!r}"
-            )
         check_real("mean", self.mean)
         check_real("std", self.std, 0, closed=False)
 
 
-@dataclass(frozen=True)
-class GlobalMarginals:
-    """The four global-variable marginals of a state."""
-
-    x_plus: MarginalSpec
-    x_minus: MarginalSpec
-    p_plus: MarginalSpec
-    p_minus: MarginalSpec
-
-
-def exact_marginals(state: GaussianTwoPhotonState) -> GlobalMarginals:
+def exact_marginals(state: GaussianTwoPhotonState) -> dict[str, MarginalSpec]:
     """Analytic global-variable marginals of the Gaussian pair state.
 
-    The momentum marginals have the state's own widths; the position
-    marginals have the reciprocal widths, so each sum/difference pair is
-    minimum-uncertainty: std(x) * std(p) = 1.
+    Keyed "x+", "x-", "p+" and "p-", the variable names of
+    witnesses.PAIRINGS. The momentum marginals have the state's own widths;
+    the position marginals have the reciprocal widths, so each
+    sum/difference pair is minimum-uncertainty: std(x) * std(p) = 1.
     """
-    return GlobalMarginals(
-        x_plus=MarginalSpec("x+", 0.0, 1.0 / state.sigma_plus),
-        x_minus=MarginalSpec("x-", 0.0, 1.0 / state.sigma_minus),
-        p_plus=MarginalSpec("p+", 0.0, state.sigma_plus),
-        p_minus=MarginalSpec("p-", 0.0, state.sigma_minus),
-    )
+    return {
+        "x+": MarginalSpec(0.0, 1.0 / state.sigma_plus),
+        "x-": MarginalSpec(0.0, 1.0 / state.sigma_minus),
+        "p+": MarginalSpec(0.0, state.sigma_plus),
+        "p-": MarginalSpec(0.0, state.sigma_minus),
+    }
 
 
 def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
@@ -191,8 +175,8 @@ def _plan_square(sum_std: float, diff_std: float, width: float):
     side = 2 * n + 1
     j = np.arange(-3 * n, 3 * n + 1)
     lo, hi = (j - 0.5) * width, (j + 0.5) * width
-    ms = bin_mass_oracle(MarginalSpec("x+", 0.0, sum_std))(lo, hi)
-    md = bin_mass_oracle(MarginalSpec("x-", 0.0, diff_std))(lo, hi)
+    ms = bin_mass_oracle(MarginalSpec(0.0, sum_std))(lo, hi)
+    md = bin_mass_oracle(MarginalSpec(0.0, diff_std))(lo, hi)
     # cell (i, j) reads ms[i + j + 3n] and md[i - j + 3n]: row i + n of a
     # sliding window over ms[n:], and row n - i of one over md reversed
     sums = sliding_window_view(ms[n:], side)[:side]
@@ -214,9 +198,8 @@ def _scan_widths(state: GaussianTwoPhotonState, geometry: OpticalGeometry, varia
     """(sum std, difference std, base bin width) of one scan of state."""
     width = detector_to_source_scale(geometry, variable_pair)  # refuses an unknown pair
     marg = exact_marginals(state)
-    if variable_pair == "position":
-        return marg.x_plus.std, marg.x_minus.std, width
-    return marg.p_plus.std, marg.p_minus.std, width
+    plus, minus = ("x+", "x-") if variable_pair == "position" else ("p+", "p-")
+    return marg[plus].std, marg[minus].std, width
 
 
 def check_detector_squares(state: GaussianTwoPhotonState, geometry: OpticalGeometry) -> None:

@@ -2,12 +2,18 @@ import tracemalloc
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
 from scipy.special import pro_rad1
 
 from cgwitness import GaussianTwoPhotonState, OpticalGeometry, global_marginal, rebin
 from cgwitness.binning import BinGrid, DiscreteDistribution
 from cgwitness.bound import CONTINUOUS_BOUND_CONSTANT, concentration_eigenvalue
+
+# the one owner of hypothesis settings: no property test has a per-example
+# deadline; each keeps its own max_examples
+settings.register_profile("cgwitness", deadline=None)
+settings.load_profile("cgwitness")
 
 
 @pytest.fixture

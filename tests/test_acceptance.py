@@ -79,8 +79,8 @@ def test_criterion_2_correction_identities():
 
 def test_criterion_3_continuous_limit():
     gm = cg.exact_marginals(cg.GaussianTwoPhotonState(2.0, 0.5))
-    r = cg.coarse_grained_marginal(gm.x_plus, 1e-2 * gm.x_plus.std)
-    s = cg.coarse_grained_marginal(gm.p_minus, 1e-2 * gm.p_minus.std)
+    r = cg.coarse_grained_marginal(gm["x+"], 1e-2 * gm["x+"].std)
+    s = cg.coarse_grained_marginal(gm["p-"], 1e-2 * gm["p-"].std)
     grid = cg.witness_grid([r], [s], ("coarse_variance", "coarse_entropic"))
     v = float(grid["coarse_variance"][0, 0])
     e = float(grid["coarse_entropic"][0, 0])
@@ -97,10 +97,10 @@ def test_criterion_4_no_false_positives_on_separable_states():
     for sigma in (0.5, 1.0, 2.0):
         gm = cg.exact_marginals(cg.GaussianTwoPhotonState(sigma, sigma))
         r_side = [
-            cg.coarse_grained_marginal(gm.x_plus, t * gm.x_plus.std) for t in factors
+            cg.coarse_grained_marginal(gm["x+"], t * gm["x+"].std) for t in factors
         ]
         s_side = [
-            cg.coarse_grained_marginal(gm.p_minus, t * gm.p_minus.std) for t in factors
+            cg.coarse_grained_marginal(gm["p-"], t * gm["p-"].std) for t in factors
         ]
         grid = cg.witness_grid(r_side, s_side, ("coarse_variance", "coarse_entropic"))
         for values in grid.values():
@@ -116,8 +116,8 @@ def test_criterion_5_false_positive_demonstration():
     # bins spanning "about 3 sigma" on each side of the origin (total width
     # 6 sigma): the uncorrected discrete product dips far below the bound
     gm = cg.exact_marginals(cg.GaussianTwoPhotonState(1.0, 1.0))
-    r = cg.coarse_grained_marginal(gm.x_plus, 2 * 3.0 * gm.x_plus.std)
-    s = cg.coarse_grained_marginal(gm.p_minus, 2 * 3.0 * gm.p_minus.std)
+    r = cg.coarse_grained_marginal(gm["x+"], 2 * 3.0 * gm["x+"].std)
+    s = cg.coarse_grained_marginal(gm["p-"], 2 * 3.0 * gm["p-"].std)
     grid = cg.witness_grid([r], [s], ("naive_discrete", "coarse_variance"))
     naive = float(grid["naive_discrete"][0, 0])
     coarse = float(grid["coarse_variance"][0, 0])

@@ -86,26 +86,27 @@ class TestBinGrid:
 
 class TestCoarseGrain:
     def test_gaussian_masses_normalized(self):
-        m = MarginalSpec("x+", 0.3, 1.2)
+        m = MarginalSpec(0.3, 1.2)
         grid = BinGrid.spanning(0.25, 0.3 - 11.0, 0.3 + 11.0)
         d = coarse_grain(bin_mass_oracle(m), grid)
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-14)
-        assert d.captured_fraction == pytest.approx(1.0, abs=1e-12)
+        assert bin_mass_oracle(m)(*_bin_edges(grid)).sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(d.masses >= 0.0)
 
     def test_truncation_error_when_grid_too_narrow(self):
-        m = MarginalSpec("x+", 0.0, 5.0)
+        m = MarginalSpec(0.0, 5.0)
         grid = BinGrid(1.0, -2, 2)  # +/- 0.5 sigma only
         with pytest.raises(TruncationError) as exc:
             coarse_grain(bin_mass_oracle(m), grid)
         assert 0.0 < exc.value.captured_fraction < 0.5
 
     def test_renormalizes_partial_capture(self):
-        m = MarginalSpec("x+", 0.0, 1.0)
+        m = MarginalSpec(0.0, 1.0)
         grid = BinGrid(0.5, -8, 8)  # +/- 4.25 sigma: keeps > 0.999 but < 1
         d = coarse_grain(bin_mass_oracle(m), grid)
-        assert d.masses.sum() == pytest.approx(1.0, abs=1e-14)
-        assert 0.999 < d.captured_fraction < 1.0
+        raw = bin_mass_oracle(m)(*_bin_edges(grid))
+        assert 0.999 < raw.sum() < 1.0
+        np.testing.assert_array_equal(d.masses, raw / raw.sum())
 
     def test_wrong_shape_oracle_rejected(self):
         calls = []
@@ -208,3 +209,15 @@ class TestFrozenCounts:
         frozen, peak = traced_peak(lambda: frozen_counts(counts))
         assert frozen is counts
         assert peak < 0.1 * counts.nbytes, peak
+
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+    def test_an_unsigned_count_above_int64_is_a_total_above_it(self, count):
+        # the int64 cast would wrap it negative: refused before the cast
+        counts = np.array([count], dtype=np.uint64)
+        for build in (frozen_counts, lambda c: CountHistogram(BinGrid(1.0, 0, 0), c)):
+            with pytest.raises(InvalidParameterError, match="counts total above"):
+                build(counts)
+
+    def test_an_unsigned_count_at_int64_max_is_kept(self):
+        counts = np.array([2**63 - 1], dtype=np.uint64)
+        assert frozen_counts(counts).tolist() == [2**63 - 1]

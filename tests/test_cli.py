@@ -665,7 +665,7 @@ class TestFlagMixes:
         bad.write_bytes(pos.read_bytes() + b"1,x\n")
         return {"pos": pos, "mom": mom, "bad": bad, "missing": tmp / "missing.txt", "dir": tmp}
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_sweep_exits_0_2_or_3(self, scans, data):
         files = ("pos", "mom")

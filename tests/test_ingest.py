@@ -131,6 +131,11 @@ class TestJointCounts:
         with pytest.raises(InvalidParameterError, match="total above"):
             JointCounts("position", 0.05, np.array([[big, big]]), geometry)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+    def test_an_unsigned_count_above_int64_is_a_total_above_it(self, geometry, count):
+        with pytest.raises(InvalidParameterError, match="counts total above"):
+            JointCounts("position", 0.05, np.array([[count]], dtype=np.uint64), geometry)
+
     def test_default_origins_are_centered(self, geometry):
         jc = JointCounts(
             variable_pair="momentum",
@@ -203,7 +208,7 @@ class TestGlobalMarginal:
         with pytest.raises(InvalidParameterError):
             global_marginal(jc, "x")
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_matches_trace_of_each_diagonal(self, data):
         # row, column, tall, wide and square scans run both loop directions
@@ -273,7 +278,7 @@ class TestRoundTrip:
         back = load_joint_counts(path)
         assert (back.step, back.geometry) == (0.05, OpticalGeometry())
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_writer_matches_per_cell_str(self, tmp_path_factory, data):
         # the writer formats each distinct count below min(max + 1, cells)
@@ -559,7 +564,7 @@ class TestIngestPaths:
     _ENDINGS = st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"])
     _EXTRA_LINES = st.sampled_from([b"", b" ", "\x0c".encode(), b"# step_mm=1", b"\xff", b"1,2"])
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_mutated_valid_files(self, tmp_path_factory, data):
         rows = data.draw(st.integers(1, 4))
@@ -580,7 +585,7 @@ class TestIngestPaths:
         body = b"".join(line + data.draw(self._ENDINGS) for line in lines)
         _assert_paths_agree(tmp_path_factory.mktemp("fuzz") / "scan.txt", _HEADER + body)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(body=st.binary(max_size=64), with_header=st.booleans())
     def test_arbitrary_bytes(self, tmp_path_factory, body, with_header):
         data = (_HEADER if with_header else b"") + body
@@ -634,7 +639,7 @@ class TestIngestPaths:
             load_joint_counts(tmp_path / "scan.txt")
         assert exc.value.line_number == 5
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(pieces=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"# a=1", b"#a", b"1,2", b" ", b"\xff"])))
     def test_header_read_by_lf_pieces_matches_a_whole_read(self, pieces):
         # a one-element list hands _read_header the whole file as one piece

@@ -11,11 +11,12 @@ import pytest
 
 import cgwitness
 from cgwitness import (
+    PAIRINGS,
     BinGrid,
     CountHistogram,
+    DiscreteDistribution,
     ErrorModel,
     GaussianTwoPhotonState,
-    GlobalMarginals,
     JointCounts,
     MarginalSpec,
     OpticalGeometry,
@@ -23,6 +24,7 @@ from cgwitness import (
     coarse_grained_marginal,
     concentration_eigenvalue,
     entropic_bound_constant,
+    exact_marginals,
     rebin,
     sample_joint_counts,
     sample_marginal_counts,
@@ -55,17 +57,20 @@ REMOVED = (
     "characteristic_solution",
     "radial_first_kind",
     "ConvergenceError",
+    "GlobalMarginals",
 )
 
-#: Keywords the functions no longer take; no caller outside their own tests set them.
+#: Keywords the functions and classes no longer take; no caller outside their own tests set them.
 REMOVED_PARAMETERS = (
     (coarse_grained_marginal, ("span_sigmas", "min_captured")),
     (sample_marginal_counts, ("span_sigmas", "min_captured")),
     (coarse_grain, ("min_captured",)),
+    (MarginalSpec, ("variable",)),
+    (DiscreteDistribution, ("captured_fraction",)),
 )
 
 
-_SPEC = MarginalSpec("x+", 0.0, 1.0)
+_SPEC = MarginalSpec(0.0, 1.0)
 _HIST = CountHistogram(BinGrid(1.0, -3, 3), np.ones(7, dtype=np.int64))
 _ONES = np.ones((3, 3), dtype=np.int64)
 _STATE = GaussianTwoPhotonState(10.0, 2.5)
@@ -80,8 +85,8 @@ SCALAR_ARGUMENTS = [
     ("BinGrid.j_max", lambda v: BinGrid(1.0, 0, v), 1, ()),
     ("GaussianTwoPhotonState.sigma_plus", lambda v: GaussianTwoPhotonState(v, 1), 1, ("half",)),
     ("GaussianTwoPhotonState.sigma_minus", lambda v: GaussianTwoPhotonState(1, v), 1, ("half",)),
-    ("MarginalSpec.mean", lambda v: MarginalSpec("x+", v, 1.0), 0, ("half",)),
-    ("MarginalSpec.std", lambda v: MarginalSpec("x+", 0.0, v), 1, ("half",)),
+    ("MarginalSpec.mean", lambda v: MarginalSpec(v, 1.0), 0, ("half",)),
+    ("MarginalSpec.std", lambda v: MarginalSpec(0.0, v), 1, ("half",)),
     *[
         (f"OpticalGeometry.{key}", lambda v, key=key: OpticalGeometry(**{key: v}), 1, ("half",))
         for key in _GEOMETRY_FIELDS
@@ -269,13 +274,18 @@ class TestPublicSurface:
         for attr in ("index_of", "edges", "index_range"):
             assert not hasattr(BinGrid, attr), attr
         assert not hasattr(GaussianTwoPhotonState, "normalization_sq")
-        assert not hasattr(GlobalMarginals, "by_name")
+        assert not hasattr(cgwitness.model, "VARIABLE_NAMES")
         assert not hasattr(cgwitness.errors, "InvalidPairingError")
         assert not hasattr(cgwitness.errors, "ConvergenceError")
         assert cgwitness.errors.NUMERICAL_ERRORS == (cgwitness.errors.PropagationError,)
 
     def test_export_count(self):
-        assert len(cgwitness.__all__) == 40
+        assert len(cgwitness.__all__) == 39
+
+    def test_exact_marginals_use_the_pairing_names(self):
+        # one name per global variable: the model's keys are the ones sweep pairs
+        paired = {variable for pair in PAIRINGS.values() for variable in pair}
+        assert set(exact_marginals(GaussianTwoPhotonState(2.0, 0.5))) == paired
 
     def test_merged_modules_are_gone(self):
         for name in ("cgwitness.uncertainty", "cgwitness.stats"):
@@ -410,6 +420,19 @@ class TestImports:
 
 
 class TestScalarArguments:
+    def test_table_covers_every_numeric_field(self):
+        # annotations are strings: every package module defers them
+        numeric = {"float", "int", "float | None", "int | None"}
+        rows = {arg for arg, *_ in SCALAR_ARGUMENTS}
+        missing = [
+            f"{name}.{field.name}"
+            for name in cgwitness.__all__
+            if isinstance(cls := getattr(cgwitness, name), type) and dataclasses.is_dataclass(cls)
+            for field in dataclasses.fields(cls)
+            if field.type in numeric and f"{name}.{field.name}" not in rows
+        ]
+        assert missing == []
+
     @pytest.mark.parametrize("call,value", _scalar_cells())
     def test_refusal_table(self, call, value):
         with pytest.raises(InvalidParameterError):

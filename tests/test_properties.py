@@ -52,7 +52,7 @@ def count_histograms(draw):
 
 class TestCorrectionIdentities:
     @given(discrete_distributions())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_variance_correction(self, d):
         w = d.grid.width
         lhs = histogram_variance(d)
@@ -60,14 +60,14 @@ class TestCorrectionIdentities:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     @given(discrete_distributions())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_entropy_correction(self, d):
         lhs = histogram_entropy(d)
         rhs = discrete_entropy(d) + math.log(d.grid.width)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     @given(discrete_distributions())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_discrete_entropy_nonnegative_and_bounded(self, d):
         h = discrete_entropy(d)
         assert -1e-12 <= h <= math.log(d.grid.n_bins) + 1e-12
@@ -99,7 +99,7 @@ class TestWitnessGridProperties:
         st.lists(discrete_distributions(), min_size=1, max_size=3),
         st.lists(discrete_distributions(), min_size=1, max_size=3),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_cells_match_reference_and_one_cell_grids(self, rs, ss):
         grid = witness_grid(rs, ss)
         for witness_id, values in grid.items():
@@ -114,14 +114,14 @@ class TestWitnessGridProperties:
 
 class TestRebinProperties:
     @given(count_histograms(), st.sampled_from([1, 3, 5, 7, 9]))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_counts_conserved(self, h, factor):
         r = rebin(h, factor)
         assert r.counts.sum() == h.counts.sum()
         assert r.grid.width == pytest.approx(factor * h.grid.width, rel=1e-12)
 
     @given(count_histograms(), st.sampled_from([3, 5, 7]))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_every_fine_bin_lands_in_exactly_one_group(self, h, factor):
         r = rebin(h, factor)
         half = factor // 2
@@ -130,7 +130,7 @@ class TestRebinProperties:
             assert r.grid.j_min <= group <= r.grid.j_max
 
     @given(count_histograms(), st.sampled_from([3, 5]))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_rebin_never_increases_entropy_resolution(self, h, factor):
         # merging bins cannot raise the discrete entropy
         total = h.counts.sum()
@@ -143,7 +143,7 @@ class TestRebinProperties:
 
 class TestBoundProperties:
     @given(st.floats(min_value=0.0, max_value=400.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_bounded_and_positive(self, gamma):
         c = entropic_bound_constant(gamma)
         assert 0.0 < c <= FLAT * (1.0 + 1e-12)
@@ -152,7 +152,7 @@ class TestBoundProperties:
         st.floats(min_value=0.0, max_value=300.0),
         st.floats(min_value=1e-6, max_value=100.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_monotone_nonincreasing(self, gamma, step):
         a = entropic_bound_constant(gamma)
         b = entropic_bound_constant(gamma + step)
@@ -162,7 +162,7 @@ class TestBoundProperties:
         st.floats(min_value=1e-3, max_value=300.0),
         st.floats(min_value=1.0001, max_value=4.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_gamma_times_c_nondecreasing(self, gamma, factor):
         # gamma * C(gamma) is the concentration eigenvalue branch: increasing
         lo = gamma * entropic_bound_constant(gamma)
@@ -171,7 +171,7 @@ class TestBoundProperties:
 
     @given(st.floats(min_value=0.0, max_value=14.0, exclude_min=True))
     @example(14.0)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_nystrom_matches_specfun(self, c):
         # the Nystrom eigensolve against (2c/pi) R_00(c, 1)^2 from Zhang &
         # Jin's independent routines, on its whole domain (0, 14]

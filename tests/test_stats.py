@@ -20,7 +20,7 @@ CONTINUOUS_GAUSSIAN_ENTROPY = 0.5 * math.log(2 * math.pi * math.e)
 
 @pytest.fixture
 def unit_gaussian_unit_bins():
-    return coarse_grained_marginal(MarginalSpec("x+", 0.0, 1.0), 1.0)
+    return coarse_grained_marginal(MarginalSpec(0.0, 1.0), 1.0)
 
 
 class TestDiscreteStats:
@@ -36,7 +36,7 @@ class TestDiscreteStats:
 
     def test_large_bins_collapse_variance(self):
         # one dominant central bin: discrete variance far below sigma^2
-        d = coarse_grained_marginal(MarginalSpec("x+", 0.0, 1.0), 6.0)
+        d = coarse_grained_marginal(MarginalSpec(0.0, 1.0), 6.0)
         assert discrete_variance(d) == pytest.approx(0.0971926583, rel=1e-8)
 
     def test_unnormalized_masses_rejected(self):
@@ -77,7 +77,7 @@ class TestHistogramCorrections:
 
     def test_fine_bins_recover_continuous_gaussian(self):
         w = 0.01
-        d = coarse_grained_marginal(MarginalSpec("x+", 0.0, 1.0), w)
+        d = coarse_grained_marginal(MarginalSpec(0.0, 1.0), w)
         # quantization and the histogram correction each add w^2/12
         assert histogram_variance(d) == pytest.approx(1.0 + w * w / 6.0, rel=1e-9)
         assert histogram_entropy(d) == pytest.approx(CONTINUOUS_GAUSSIAN_ENTROPY, rel=1e-5)

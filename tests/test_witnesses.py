@@ -20,8 +20,8 @@ from cgwitness.errors import ConfigurationError, InvalidParameterError
 
 def _pm_inputs(width_r, width_s, sigma_plus=2.0, sigma_minus=0.5):
     gm = exact_marginals(GaussianTwoPhotonState(sigma_plus, sigma_minus))
-    r = coarse_grained_marginal(gm.x_plus, width_r)
-    s = coarse_grained_marginal(gm.p_minus, width_s)
+    r = coarse_grained_marginal(gm["x+"], width_r)
+    s = coarse_grained_marginal(gm["p-"], width_s)
     return r, s
 
 
