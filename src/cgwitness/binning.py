@@ -96,7 +96,8 @@ def frozen_counts(counts) -> np.ndarray:
     sum would wrap, by reductions that make no count-sized temporary. A
     read-only int64 array that owns its memory is taken as it is; every
     other array, writable arrays and views included, is copied, so a
-    caller's writable array is never frozen or aliased.
+    caller's writable array is never frozen or aliased. Its holders keep a
+    view of it, which numpy refuses to make writable again.
     """
     c = np.asarray(counts)
     if not np.issubdtype(c.dtype, np.integer):
@@ -165,7 +166,7 @@ class CountHistogram:
             raise InvalidParameterError(
                 f"expected {self.grid.n_bins} counts, got shape {c.shape}"
             )
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", c.view())  # see frozen_counts
 
     @property
     def total(self) -> int:

@@ -2,7 +2,9 @@
 
 A scan file is line-oriented text: "# key=value" header lines carrying the
 optical geometry, then one comma-separated row of nonnegative integers per
-detector-1 position. Diagonal sums of the count matrix give the binned
+detector-1 position. A count block of plain digits, commas and LF or CR
+LF line ends is parsed by numpy in fixed-size chunks; any other block is
+read line by line. Diagonal sums of the count matrix give the binned
 sum/difference marginals on the base global-variable grid.
 
 The scan axes are "position" and "momentum" (check_variable_pair). Their
@@ -95,7 +97,7 @@ class JointCounts:
         if c.ndim != 2 or c.size == 0:
             raise InvalidParameterError("counts must be a non-empty 2-D array")
         c = frozen_counts(c)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", c.view())  # see frozen_counts
         half = MAX_INDEX // 2
         for key, length in zip(("i0", "j0"), c.shape):
             v = getattr(self, key)
@@ -191,18 +193,18 @@ def load_joint_counts(path) -> JointCounts:
     malformed headers, text that is not UTF-8, non-integer or negative
     counts, counts above the int64 range, and ragged rows.
 
-    The header is read line by line from the start of the file. The open
-    file, at the first data line, then streams the count block into one
-    np.loadtxt call; if that call refuses the block or it fails a check,
-    the block is read again, whole, by the line reader. Only the line
-    reader raises errors on counts, so they are the same on either path.
-    The parsed matrix is frozen in place and the JointCounts keeps it, so
-    a load holds about one count-sized array, never a copy of the file.
+    The header is read line by line from the start of the file. From the
+    first data line, _parse_counts reads a block of digits, commas and LF
+    or CR LF line ends in chunks straight into the count matrix; any other
+    block is read again, whole, by the line reader. Only the line reader
+    raises errors on counts, so they are the same on either path. The
+    parsed matrix is frozen in place and the JointCounts keeps it, so a
+    load holds about one count-sized array, never a copy of the file.
     """
     with open(path, "rb") as fh:
         header, start, lineno = _read_header(fh)
         fh.seek(start)
-        counts = _loadtxt_counts(fh)
+        counts = _parse_counts(fh)
         if counts is None:
             fh.seek(start)
             counts = np.array(_parse_rows(fh.read(), lineno), dtype=np.int64)
@@ -242,38 +244,116 @@ def _read_header(fh) -> tuple[dict[str, str], int, int]:
     return header, offset, lineno
 
 
-#: Bytes read at a time by the pre-scan of a count block.
-_CHUNK = 1 << 16
+#: Bytes read at a time by each pass of _parse_counts. A run of lines then
+#: holds about 16 Ki tokens, so its int64 index arrays stay near 128 KiB,
+#: glibc's default mmap threshold. Larger ones, once freed, raise that
+#: threshold and the heap keeps up to twice their size: at 64 KiB the
+#: large_scan sweep's peak RSS moved between 45.0 and 45.7 MB from run to run.
+_CHUNK = 1 << 15
+#: Longest token _parse_counts takes; 10**18 - 1 is below MAX_COUNT.
+_MAX_DIGITS = 18
+_POW10 = [np.int64(10**k) for k in range(_MAX_DIGITS)]
+_TAKEN = b"0123456789,\r\n"
 
 
-def _loadtxt_counts(fh) -> np.ndarray | None:
+def _parse_counts(fh) -> np.ndarray | None:
     """The count matrix of the data lines of a binary file from its position on, or None to fall back.
 
-    Takes only what np.loadtxt reads exactly as int() does: ASCII text
-    (loadtxt reads some other letters as digits) with no "#", since a
-    header after data must raise, and none of the bytes 0x1c-0x1f, which
-    loadtxt skips as whitespace where int() refuses them. A pre-scan reads
-    the block _CHUNK bytes at a time for those bytes, then loadtxt reads
-    it again from the same position. Iterating a binary file splits lines
-    at LF alone and loadtxt rejects a CR inside a line, so CR-only line
-    endings fall back, as do "1_000" and values beyond int64. Negative
-    counts are left to _parse_rows, for its line number, and an empty
-    block to _joint_counts.
+    Takes only lines of comma-separated tokens of 1 to _MAX_DIGITS ASCII
+    digits, each holding as many tokens as the first and ended by LF or
+    CR LF (the last line may lack its end), so every value is int() of its
+    token and at most MAX_COUNT. A first pass reads the block _CHUNK bytes
+    at a time, refuses any other byte and any CR not followed by LF, and
+    counts the lines and the first line's tokens. A second pass reads the
+    same bytes again, runs of whole lines at a time, into one (lines, cols)
+    int64 array: the separators' positions mark the tokens, whose digits
+    are added from the last one leftwards. Every cols-th separator must be
+    an LF and the tokens must fill the array exactly, so, with the line
+    count of the first pass, every line holds cols tokens. Anything else
+    returns None, for _parse_rows to read line by line: spaces, signs,
+    "#", blank lines, CR-only line ends, empty or longer tokens, ragged
+    rows and an empty block.
     """
     start = fh.tell()
+    size = lines = 0
+    cr = False  # the last chunk ended in CR
+    tail = b""
     while chunk := fh.read(_CHUNK):
-        if any(byte in chunk for byte in b"#\x1c\x1d\x1e\x1f"):
+        if chunk.translate(None, _TAKEN):
             return None
-    if fh.tell() == start:
+        if cr or b"\r" in chunk:  # each CR must precede an LF
+            if cr and chunk[0] != ord("\n"):
+                return None
+            cr = chunk.endswith(b"\r")
+            if chunk.count(b"\r") - cr != chunk.count(b"\r\n"):
+                return None
+        size += len(chunk)
+        # LF is the one byte below CR in a checked chunk
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) < ord("\r"))
+        tail = chunk[-1:]
+    if cr or not size:
+        return None
+    lines += tail != b"\n"
+    fh.seek(start)
+    cols = fh.readline().count(b",") + 1
+    if 2 * lines * cols > size + 1:  # each token takes a digit and a separator
         return None
     fh.seek(start)
-    try:
-        counts = np.loadtxt(fh, encoding="ascii", delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:  # UnicodeDecodeError included
+    counts = np.empty((lines, cols), dtype=np.int64)
+    flat = counts.reshape(-1)
+    filled, pieces = 0, []
+    while chunk := fh.read(_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            filled = _fill_lines(b"".join(pieces), flat, filled, cols)
+            if filled is None:
+                return None
+            pieces = []
+        pieces.append(chunk[cut:])
+    if any(pieces):
+        filled = _fill_lines(b"".join(pieces) + b"\n", flat, filled, cols)
+    return counts if filled == flat.size else None
+
+
+def _fill_lines(block: bytes, flat: np.ndarray, filled: int, cols: int) -> int | None:
+    """Parse LF-ended lines of digits and commas into flat from filled on; the new fill, or None.
+
+    Bytes are only compared with "<" and ">=" and cast to int64 before any
+    arithmetic: each other uint8 kernel maps more of numpy's code into the
+    process, which a sweep of small scans shows in its peak memory.
+    """
+    if b"\r" in block:  # each CR precedes an LF
+        block = block.replace(b"\r", b"")
+    a = np.frombuffer(block, dtype=np.uint8)
+    pos = (a < ord("0")).nonzero()[0]  # each token's "," or LF
+    n = pos.size
+    lines = n // cols
+    if n % cols or filled + n > flat.size:
         return None
-    if counts.size == 0 or counts.min() < 0:
+    if np.count_nonzero(a[pos[cols - 1 :: cols]] < ord(",")) != lines:  # LF < ","
         return None
-    return counts
+    pos -= 1  # each token's last digit; a[-1] is an LF
+    digit = a[pos]
+    if np.count_nonzero(digit < ord("0")):  # a separator: an empty token
+        return None
+    out = flat[filled : filled + n]
+    out[:] = digit
+    out -= ord("0")
+    tokens = None  # those with a k-th digit from the right: all of them so far
+    for k in range(1, _MAX_DIGITS + 1):
+        pos -= 1
+        digit = a[pos]
+        more = (digit >= ord("0")).nonzero()[0]
+        if not more.size:
+            return filled + n
+        if k == _MAX_DIGITS:
+            return None
+        pos, digit = pos[more], digit[more]
+        tokens = more if tokens is None else tokens[more]
+        value = digit * _POW10[k]
+        value -= ord("0") * _POW10[k]
+        out[tokens] += value
 
 
 def _parse_rows(block: bytes, first_lineno: int) -> list[list[int]]:

@@ -92,7 +92,8 @@ def exact_marginals(state: GaussianTwoPhotonState) -> dict[str, MarginalSpec]:
 def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
     """Exact Gaussian interval masses for coarse_grain.
 
-    Returns a vectorized callable (lo, hi) -> P(lo <= Z <= hi). Tail
+    Returns a vectorized callable (lo, hi) -> P(lo <= Z <= hi); a NaN end
+    or lo > hi raises InvalidParameterError, infinite ends are taken. Tail
     intervals are computed from the complementary error function so the
     result keeps full relative precision far from the mean.
     """
@@ -105,6 +106,8 @@ def bin_mass_oracle(m: MarginalSpec) -> Callable[[float, float], float]:
         with np.errstate(over="ignore"):
             a = (np.asarray(lo, dtype=np.float64) - mean) / (std * rt2)
             b = (np.asarray(hi, dtype=np.float64) - mean) / (std * rt2)
+        if np.isnan(a).any() or np.isnan(b).any():
+            raise InvalidParameterError("interval ends must not be NaN")
         if np.any(a > b):
             raise InvalidParameterError("interval must have lo <= hi")
         # mirror intervals left of the mean, then each takes one formula

@@ -221,3 +221,9 @@ class TestFrozenCounts:
     def test_an_unsigned_count_at_int64_max_is_kept(self):
         counts = np.array([2**63 - 1], dtype=np.uint64)
         assert frozen_counts(counts).tolist() == [2**63 - 1]
+
+    def test_histogram_counts_cannot_be_made_writable(self):
+        h = CountHistogram(BinGrid(1.0, 0, 2), np.array([1, 2, 3]))
+        with pytest.raises(ValueError):
+            h.counts.setflags(write=True)
+        assert h.counts.tolist() == [1, 2, 3]

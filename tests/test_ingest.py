@@ -1,5 +1,6 @@
 import io
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,7 +92,22 @@ class TestJointCounts:
     def test_a_frozen_int64_array_that_owns_its_memory_is_kept(self, geometry):
         counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
         counts.setflags(write=False)
-        assert JointCounts("position", 0.05, counts, geometry).counts is counts
+        assert JointCounts("position", 0.05, counts, geometry).counts.base is counts
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writable"])
+    def test_counts_cannot_be_made_writable(self, geometry, frozen):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        counts.setflags(write=not frozen)
+        jc = JointCounts("position", 0.05, counts, geometry)
+        with pytest.raises(ValueError):
+            jc.counts.setflags(write=True)
+        assert jc.counts.tolist() == [[1, 2], [3, 4]]
+
+    def test_loaded_counts_cannot_be_made_writable(self, geometry, tmp_path):
+        save_joint_counts(JointCounts("position", 0.05, np.array([[1, 2], [3, 4]]), geometry), tmp_path / "scan.txt")
+        jc = load_joint_counts(tmp_path / "scan.txt")
+        with pytest.raises(ValueError):
+            jc.counts.setflags(write=True)
 
     def test_a_frozen_array_of_another_integer_type_is_copied(self, geometry):
         counts = np.array([[1, 2], [3, 4]], dtype=np.int32)
@@ -470,7 +486,7 @@ def _assert_paths_agree(path, data):
 
 
 #: Data blocks, each after the valid _HEADER, covering the forms where
-#: np.loadtxt and int() could part ways.
+#: a numpy parser and int() could part ways.
 _DIFFERENTIAL_BODIES = {
     "plain": b"1,2,3\n4,5,6\n",
     "crlf": b"1,2\r\n3,4\r\n",
@@ -515,11 +531,11 @@ _DIFFERENTIAL_BODIES = {
 }
 
 
-#: Rows that fill two pre-scan chunks exactly.
+#: Rows that fill two parser chunks exactly.
 _LONG_ROWS = b"1,2\n" * (2 * ingest._CHUNK // 4)
 
 #: Whole files at the seams of the streamed reader: header reads, the
-#: chunked pre-scan and the ends of the file.
+#: chunked parser and the ends of the file.
 _SEAM_FILES = {
     "header_line_longer_than_a_read": _HEADER + b"# note=" + b"x" * (2 * ingest._CHUNK) + b"\n1,2\n3,4\n",
     "header_longer_than_a_read": _HEADER * (2 * ingest._CHUNK // len(_HEADER) + 1) + b"1,2\n3,4\n",
@@ -603,7 +619,8 @@ class TestIngestPaths:
         # a 965 x 965 position scan as in the large_scan benchmark: 1.97 MB of
         # text, 7.45 MB of counts. Reading the whole file, slicing its count
         # block and copying the parsed matrix peaked at 2.13x the counts;
-        # streamed into loadtxt and frozen in place it peaks at 1.21x
+        # streamed into np.loadtxt, 1.21x; parsed in chunks into the kept
+        # matrix it peaks at 1.04x
         jc = sample_joint_counts(entangled_state, OpticalGeometry(s_x_mm=0.005), "position", 1e7, seed=5)
         save_joint_counts(jc, tmp_path / "scan.txt")
         loaded, peak = traced_peak(lambda: load_joint_counts(tmp_path / "scan.txt"))
@@ -659,8 +676,50 @@ class TestIngestPaths:
         with open(tmp_path / "scan.txt", "rb") as fh:
             _, start, _ = ingest._read_header(fh)
             fh.seek(start)
-            counts = ingest._loadtxt_counts(fh)
+            counts = ingest._parse_counts(fh)
         np.testing.assert_array_equal(counts, jc.counts)
+
+    def test_multi_chunk_saved_scan_takes_the_fast_path(self, geometry, tmp_path):
+        # the line reader takes ~0.2 s on the large_scan files: falling back
+        # on a multi-chunk scan, with LF or CR LF ends, must fail here
+        counts = np.random.default_rng(7).poisson(3.0, size=(400, 400))
+        save_joint_counts(JointCounts("position", 0.05, counts, geometry), tmp_path / "scan.txt")
+        data = (tmp_path / "scan.txt").read_bytes()
+        _, start, _ = ingest._read_header(io.BytesIO(data))
+        assert len(data) - start > 4 * ingest._CHUNK
+        for block in (data[start:], data[start:].replace(b"\n", b"\r\n")):
+            got = ingest._parse_counts(io.BytesIO(block))
+            assert got is not None
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, counts)
+
+    @settings(max_examples=200)
+    @given(
+        chunk=st.integers(1, 97),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        ending=st.sampled_from([b"\n", b"\r\n"]),
+        final_ending=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunk_seams_give_the_line_reader_matrix(self, chunk, rows, cols, ending, final_ending, seed):
+        # values of 1 to 18 digits, some with leading zeros up to 18 digits,
+        # read in chunks from 1 to 97 bytes: every seam and multi-chunk lines
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(1, ingest._MAX_DIGITS + 1, size=(rows, cols))
+        values = rng.integers(0, 10**digits)
+        zeros = np.where(rng.random((rows, cols)) < 0.2, rng.integers(0, ingest._MAX_DIGITS + 1, size=(rows, cols)), 0)
+        lines = [
+            ",".join("0" * min(z, ingest._MAX_DIGITS - len(str(v))) + str(v) for v, z in zip(row, pad))
+            for row, pad in zip(values.tolist(), zeros.tolist())
+        ]
+        block = ending.join(line.encode() for line in lines) + (ending if final_ending else b"")
+        want = np.array(ingest._parse_rows(block, 1), dtype=np.int64)
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            got = ingest._parse_counts(io.BytesIO(block))
+        assert got is not None
+        assert got.dtype == np.int64 and got.shape == want.shape == (rows, cols)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "block",
@@ -675,14 +734,44 @@ class TestIngestPaths:
             b"",
             _LONG_ROWS + b"3,#4\n",
             _LONG_ROWS + b"3,\x1c4\n",
+            b"1, 2\n3,4\n",
+            b"1,2\n3,4\t\n",
+            b"+5,2\n3,4\n",
+            b"1,,2\n3,4,5\n",
+            b",1\n2,3\n",
+            b"1,\n2,\n",
+            b"1,2\n\n3,4\n",
+            b"1234567890123456789,2\n3,4\n",
+            b"1,2\r3,4\n",
+            b"1,2\n3,4\r",
+            b"1,2\n3\n4,5\n",
+            b"1,2\n3\n4,5,6\n",
+            b"11,22\n3\n4\n55,66\n",
+            _LONG_ROWS + b"3\n",
         ],
         ids=[
             "underscore", "cr_only", "hash", "negative", "non_utf8", "unit_separator", "non_ascii",
-            "empty", "hash_in_last_chunk", "unit_separator_in_last_chunk",
+            "empty", "hash_in_last_chunk", "unit_separator_in_last_chunk", "space", "tab", "plus",
+            "empty_token", "leading_comma", "trailing_comma", "blank_line", "19_digits", "lone_cr",
+            "final_lone_cr", "ragged", "ragged_same_total", "ragged_line_ends_in_place",
+            "short_row_in_last_chunk",
         ],
     )
-    def test_fast_path_refuses(self, block):
-        assert ingest._loadtxt_counts(io.BytesIO(block)) is None
+    def test_fast_path_refuses(self, block, tmp_path):
+        assert ingest._parse_counts(io.BytesIO(block)) is None
+        _assert_paths_agree(tmp_path / "scan.txt", _HEADER + block)
+
+    @pytest.mark.parametrize(
+        "block",
+        [b"1,2\r3,4\n", b"1,2\n3,4\r", b"1,2\n3\n4,5,6\n", b"11,22\n3\n4\n55,66\n", b"1,,2\n3,4,5\n",
+         b"1,2\n1234567890123456789\n"],
+        ids=["lone_cr", "final_lone_cr", "ragged_same_total", "ragged_line_ends_in_place", "empty_token",
+             "19_digits"],
+    )
+    def test_fast_path_refuses_at_every_chunk_size(self, block):
+        for chunk in range(1, len(block) + 1):
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                assert ingest._parse_counts(io.BytesIO(block)) is None, chunk
 
 
 class TestGeometryMatching:

@@ -85,6 +85,21 @@ class TestBinMassOracle:
         with pytest.raises(InvalidParameterError):
             mass(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(math.nan, 1.0), (0.0, math.nan), (np.array([-1.0, math.nan, 0.0]), np.array([0.0, 1.0, 2.0]))],
+        ids=["lo", "hi", "array"],
+    )
+    def test_nan_ends_rejected(self, lo, hi):
+        mass = bin_mass_oracle(MarginalSpec(0.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            mass(lo, hi)
+
+    def test_infinite_ends_are_taken(self):
+        mass = bin_mass_oracle(MarginalSpec(0.0, 1.0))
+        assert mass(-math.inf, math.inf) == 1.0
+        assert mass(0.0, math.inf) == pytest.approx(0.5, abs=1e-15)
+
 
 class TestCoarseGrainedMarginal:
     def test_central_mass_anchors(self):
