@@ -319,9 +319,12 @@ def _parse_counts(fh) -> np.ndarray | None:
 def _fill_lines(block: bytes, flat: np.ndarray, filled: int, cols: int) -> int | None:
     """Parse LF-ended lines of digits and commas into flat from filled on; the new fill, or None.
 
-    Bytes are only compared with "<" and ">=" and cast to int64 before any
-    arithmetic: each other uint8 kernel maps more of numpy's code into the
-    process, which a sweep of small scans shows in its peak memory.
+    Bytes are only compared with "<" and ">=" and cast to int64 by
+    assignment or astype before any arithmetic, so no value depends on
+    numpy's scalar promotion rules (under numpy 1.x, a uint8 array times an
+    int64 scalar stays uint8 and wraps) and no other uint8 kernel maps more
+    of numpy's code into the process, which a sweep of small scans shows in
+    its peak memory.
     """
     if b"\r" in block:  # each CR precedes an LF
         block = block.replace(b"\r", b"")
@@ -351,8 +354,9 @@ def _fill_lines(block: bytes, flat: np.ndarray, filled: int, cols: int) -> int |
             return None
         pos, digit = pos[more], digit[more]
         tokens = more if tokens is None else tokens[more]
-        value = digit * _POW10[k]
-        value -= ord("0") * _POW10[k]
+        value = digit.astype(np.int64)
+        value -= ord("0")
+        value *= _POW10[k]
         out[tokens] += value
 
 

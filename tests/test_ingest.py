@@ -721,6 +721,17 @@ class TestIngestPaths:
         assert got.dtype == np.int64 and got.shape == want.shape == (rows, cols)
         np.testing.assert_array_equal(got, want)
 
+    def test_digit_arithmetic_does_not_depend_on_scalar_promotion(self):
+        # numpy 1.x kept a uint8 array times an int64 scalar as uint8, as
+        # numpy 2 does with a Python int: with the powers of ten as Python
+        # ints, any product taken in uint8 wraps or overflows here
+        block = b"999,1000,123456789012345678\n007,255,256\n"
+        want = np.array(ingest._parse_rows(block, 1), dtype=np.int64)
+        with mock.patch.object(ingest, "_POW10", [10**k for k in range(ingest._MAX_DIGITS)]):
+            got = ingest._parse_counts(io.BytesIO(block))
+        assert got is not None
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize(
         "block",
         [
