@@ -117,9 +117,10 @@ def frozen_counts(counts) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A view of a read-only copy of a: numpy refuses to make the view writable again."""
     a = a.copy()
     a.setflags(write=False)
-    return a
+    return a.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +230,10 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     """Merge runs of `factor` adjacent bins, keeping a bin centered at 0.
 
     Input bins are conceptually zero-padded (never trimmed) to complete the
-    outermost groups; totals are conserved exactly.
+    outermost groups; totals are conserved exactly. Each group is summed by
+    one np.add.reduceat over the offsets where groups start, so nothing is
+    allocated per group member or per padding bin, even at MAX_FACTOR; the
+    fresh sums are frozen, and the result keeps them without a copy.
 
     Args:
         h: CountHistogram.
@@ -245,9 +249,13 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
         return h
     half = (factor - 1) // 2
     grid = h.grid
-    j = grid.indices
-    groups = (j + half) // factor  # group J collects j in [J*factor - half, J*factor + half]
-    g_min, g_max = int(groups[0]), int(groups[-1])
-    out = np.zeros(g_max - g_min + 1, dtype=h.counts.dtype)
-    np.add.at(out, groups - g_min, h.counts)
+    # group J collects j in [J*factor - half, J*factor + half]
+    g_min, g_max = (grid.j_min + half) // factor, (grid.j_max + half) // factor
+    # offset of the first bin of group g_min + 1, in [1, n_bins): every later
+    # group starts factor bins on, so no offset leaves [0, n_bins)
+    first = (g_min + 1) * factor - half - grid.j_min
+    starts = np.zeros(g_max - g_min + 1, dtype=np.intp)
+    starts[1:] = first + factor * np.arange(g_max - g_min)
+    out = np.add.reduceat(h.counts, starts)
+    out.setflags(write=False)
     return CountHistogram(BinGrid(grid.width * factor, g_min, g_max), out)

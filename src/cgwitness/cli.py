@@ -104,27 +104,54 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if v is True or v is False:
-        return "true" if v else "false"
-    return "%.12g" % v if isinstance(v, float) else str(v)
+#: CSV text of a verdict column's False and True
+_VERDICT_TEXT = ("false", "true")
+
+
+def _csv_lines(rows) -> list[str]:
+    """The CSV lines of a list of row tuples, each line one %-format of its row.
+
+    Cells are taken column by column, each column typed by its first cell:
+    a float column is written to 12 significant digits, a True/False column
+    as true/false, a None column as empty cells, and any other as str() of
+    its cells.
+    """
+    specs, columns = [], []
+    for column in zip(*rows):
+        first = column[0]
+        if first is None:
+            specs.append("")
+            continue
+        if first is True or first is False:
+            column = [_VERDICT_TEXT[v] for v in column]
+        specs.append("%.12g" if isinstance(first, float) else "%s")
+        columns.append(column)
+    line = ",".join(specs)
+    return [line % cells for cells in zip(*columns)]
 
 
 def _emit_rows(rows, columns, fmt, output) -> None:
-    """Write a list of row dicts, or a {label: list} of labeled sections, as CSV or JSON."""
-    labeled = isinstance(rows, dict)
+    """Write a list of rows, or a {label: list} of labeled sections, as CSV or JSON.
+
+    Each row is a tuple of cells in the order of columns. JSON writes it as
+    an object keyed by columns, and an unlabeled list under "rows"; CSV
+    writes it as one line of _csv_lines, so the cells of a column must
+    share a type.
+    """
+    sections = rows if isinstance(rows, dict) else {None: rows}
     if fmt == "json":
-        payload = rows if labeled else {"rows": rows}
+        payload = {
+            "rows" if name is None else name: [dict(zip(columns, row)) for row in section_rows]
+            for name, section_rows in sections.items()
+        }
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
         return
     lines = []
-    for name, section_rows in (rows if labeled else {None: rows}).items():
+    for name, section_rows in sections.items():
         if name is not None:
             lines.append(f"# {name}")
         lines.append(",".join(columns))
-        lines += [",".join(_csv_cell(row[col]) for col in columns) for row in section_rows]
+        lines += _csv_lines(section_rows)
     _write_output("\n".join(lines) + "\n", output)
 
 
@@ -171,27 +198,26 @@ def cmd_sweep(args) -> int:
         pairings=pairings,
         witness_ids=witness_ids,
     )
+    # rows in (witness_id, pairing, n, m) order: each grid is taken in sorted factor order
+    i_order = sorted(range(len(n_list)), key=n_list.__getitem__)
+    j_order = sorted(range(len(m_list)), key=m_list.__getitem__)
+    sorted_n, sorted_m = [n_list[i] for i in i_order], [m_list[j] for j in j_order]
+    in_order = np.ix_(i_order, j_order)
     rows = []
-    for pairing in pairings:
-        for witness_id in witness_ids:
+    for witness_id in sorted(witness_ids):
+        for pairing in sorted(pairings):
             values, uncertainties = grid[pairing, witness_id]
-            for i, n in enumerate(n_list):
-                for j, m in enumerate(m_list):
-                    value = float(values[i, j])
-                    uncertainty = None if uncertainties is None else float(uncertainties[i, j])
-                    rows.append(
-                        {
-                            "n": n,
-                            "m": m,
-                            "pairing": pairing,
-                            "witness_id": witness_id,
-                            "value": value,
-                            "uncertainty": uncertainty,
-                            "detected": _detected(value, uncertainty, nsigma),
-                        }
-                    )
-    rows.sort(key=lambda r: (r["witness_id"], r["pairing"], r["n"], r["m"]))
-    diagonal = [r for r in rows if r["n"] == r["m"]]
+            values = values[in_order].tolist()
+            if uncertainties is None:
+                uncertainties = [[None] * len(sorted_m)] * len(sorted_n)
+            else:
+                uncertainties = uncertainties[in_order].tolist()
+            for n, value_row, uncertainty_row in zip(sorted_n, values, uncertainties):
+                rows += [
+                    (n, m, pairing, witness_id, value, uncertainty, _detected(value, uncertainty, nsigma))
+                    for m, value, uncertainty in zip(sorted_m, value_row, uncertainty_row)
+                ]
+    diagonal = [row for row in rows if row[0] == row[1]]
     columns = ["n", "m", "pairing", "witness_id", "value", "uncertainty", "detected"]
     _emit_rows({"sweep": rows, "diagonal": diagonal}, columns, args.format, args.output)
     return 0
@@ -227,17 +253,8 @@ def cmd_demo_false_positive(args) -> int:
     rows = []
     for witness_id in witness_ids:
         value = float(grid[witness_id][0, 0])
-        rows.append(
-            {
-                "witness_id": witness_id,
-                "pairing": "pm",
-                "width_r": r.grid.width,
-                "width_s": s.grid.width,
-                "value": value,
-                "detected": _detected(value),
-                "unsafe": witness_id == "naive_discrete",
-            }
-        )
+        unsafe = witness_id == "naive_discrete"
+        rows.append((witness_id, "pm", r.grid.width, s.grid.width, value, _detected(value), unsafe))
     columns = ["witness_id", "pairing", "width_r", "width_s", "value", "detected", "unsafe"]
     _emit_rows(rows, columns, args.format, args.output)
     return 0
@@ -258,7 +275,7 @@ def cmd_bound_table(args) -> int:
         if args.gamma_min < 0:
             raise ConfigurationError("--gamma-min must be nonnegative")
         grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
-    rows = [{"gamma": float(g), "C": entropic_bound_constant(float(g))} for g in grid]
+    rows = [(float(g), entropic_bound_constant(float(g))) for g in grid]
     _emit_rows(rows, ["gamma", "C"], "csv", args.output)
     return 0
 

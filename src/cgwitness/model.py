@@ -147,6 +147,7 @@ def sample_marginal_counts(
     check_real("total_expected_counts", total_expected_counts, 0, MAX_EXPECTED_COUNTS, closed=False)
     d = coarse_grained_marginal(m, width)
     counts = _rng_from(seed).poisson(total_expected_counts * d.masses)
+    counts.setflags(write=False)  # so frozen_counts takes it without a copy
     return CountHistogram(d.grid, counts)
 
 
@@ -252,11 +253,17 @@ def sample_joint_counts(
             "the synthetic table will show parity artifacts",
             stacklevel=2,
         )
-    lam = total_expected_counts * cells / cells.sum()
+    # the Poisson means total * cells / sum(cells), in place: the same two
+    # operations, with no array beyond cells and the counts
+    total_mass = cells.sum()
+    cells *= total_expected_counts
+    cells /= total_mass
+    counts = _rng_from(seed).poisson(cells)
+    counts.setflags(write=False)  # so frozen_counts takes it without a copy
     return JointCounts(
         variable_pair=variable_pair,
         step=geometry.s_x_mm if variable_pair == "position" else geometry.s_p_mm,
-        counts=_rng_from(seed).poisson(lam),
+        counts=counts,
         geometry=geometry,
         i0=-n,
         j0=-n,

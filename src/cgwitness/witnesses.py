@@ -25,12 +25,16 @@ deviations wide it reports entanglement for product states.
 `witness_grid` evaluates the data witnesses on every pair of two lists of
 binned marginals, and `sweep_grid` on two scans at every requested pair of
 rebin factors; a single cell is the 1x1 grid. Both go through one core:
-each marginal is reduced once to one _MarginalStats whose row 0 is the
-point estimate, the statistics of its exact masses (`_point_stats`), and
-whose rows 1.. are its replicates (`_reduce`, one row each); ln C is
-tabulated once per distinct width product (`_log_bound_table`), and
-`_combine`, the one definition of each witness formula, yields the (S, 1 + B)
-values of one position marginal against every momentum marginal.
+each marginal is reduced once, every row by `_reduce`, to one
+_MarginalStats whose row 0 is the point estimate and whose rows 1.. are
+its replicates. The point row reduces the marginal's masses: in
+`witness_grid` those of each DiscreteDistribution (`_point_stats`), in
+`sweep_grid` counts / total of each rebinned histogram, the masses
+normalize() would return, with the same float operations but no
+distribution built. ln C is tabulated once per distinct width product
+(`_log_bound_table`), and `_combine`, the one definition of each witness
+formula, yields the (S, 1 + B) values of one position marginal against
+every momentum marginal.
 `_witness_values` takes column 0 of each such row as the value and the
 spread of the others as its standard error, and refuses any that is not
 finite, the one such check. Replicates are drawn and reduced in row blocks
@@ -86,6 +90,7 @@ from .bound import entropic_bound_constant
 from .errors import (
     ConfigurationError,
     InvalidParameterError,
+    NormalizationError,
     PropagationError,
     check_int,
     check_seed,
@@ -405,28 +410,34 @@ def sweep_grid(
     def marginal_stats(jc: JointCounts, base, sign: str, f: int) -> _MarginalStats:
         """Statistics of base, jc's sign-diagonal marginal, at factor f: the point, then the replicates."""
         h = rebin(base, f)
-        parts = [_point_stats(h.normalize(), need_variance, need_entropy)]
-        if em is not None:
-            # resample the occupied bins em.replicates times, a block of
-            # rows at a time; each block continues the same two streams,
-            # so the draws are those of one (replicates, K) call
-            key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
-            occupied = h.counts > 0
-            counts, centers = h.counts[occupied], h.grid.centers[occupied]
-            counts_rng = _stream(root, key + (_COUNTS_STREAM,))
-            jitter_rng = None
-            if need_variance and em.center_jitter:
-                sigma = bin_center_error(jc, f)
-                jitter_rng = _stream(root, key + (_JITTER_STREAM,))
-            step = max(1, _BLOCK_ELEMENTS // (workers * counts.size))
-            for lo in range(0, em.replicates, step):
-                shape = (min(step, em.replicates - lo), counts.size)
-                weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
-                x = centers
-                if jitter_rng is not None:
-                    x = jitter_rng.normal(0.0, sigma, shape)
-                    x += centers
-                parts.append(_reduce(h.grid.width, weights, x, need_variance, need_entropy))
+        total = h.total
+        if total <= 0:  # the refusal of h.normalize()
+            raise NormalizationError("cannot normalize a histogram with zero counts")
+        centers = h.grid.centers
+        point = _reduce(h.grid.width, (h.counts / total)[None, :], centers, need_variance, need_entropy)
+        if em is None:
+            return point
+        parts = [point]
+        # resample the occupied bins em.replicates times, a block of
+        # rows at a time; each block continues the same two streams,
+        # so the draws are those of one (replicates, K) call
+        key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
+        occupied = h.counts > 0
+        counts, centers = h.counts[occupied], centers[occupied]
+        counts_rng = _stream(root, key + (_COUNTS_STREAM,))
+        jitter_rng = None
+        if need_variance and em.center_jitter:
+            sigma = bin_center_error(jc, f)
+            jitter_rng = _stream(root, key + (_JITTER_STREAM,))
+        step = max(1, _BLOCK_ELEMENTS // (workers * counts.size))
+        for lo in range(0, em.replicates, step):
+            shape = (min(step, em.replicates - lo), counts.size)
+            weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
+            x = centers
+            if jitter_rng is not None:
+                x = jitter_rng.normal(0.0, sigma, shape)
+                x += centers
+            parts.append(_reduce(h.grid.width, weights, x, need_variance, need_entropy))
         return _stacked_rows(parts)
 
     log_bound = None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cgwitness import MarginalSpec, bin_mass_oracle
+from cgwitness import MarginalSpec, bin_mass_oracle, coarse_grained_marginal
 from cgwitness.binning import (
     MAX_BINS,
     MAX_FACTOR,
@@ -182,6 +182,13 @@ class TestHistogramDensity:
     def test_densities_divide_by_width(self):
         d = DiscreteDistribution(BinGrid(0.25, 0, 3), np.array([0.1, 0.2, 0.3, 0.4]))
         np.testing.assert_allclose(d.densities, d.masses / 0.25)
+
+    def test_masses_cannot_be_made_writable(self):
+        d = coarse_grained_marginal(MarginalSpec(0.0, 1.0), 0.5)
+        masses = d.masses.copy()
+        with pytest.raises(ValueError):
+            d.masses.setflags(write=True)
+        np.testing.assert_array_equal(d.masses, masses)
 
     def test_negative_masses_rejected(self):
         with pytest.raises(InvalidParameterError):

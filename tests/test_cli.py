@@ -38,6 +38,15 @@ def _simulate(tmp_path, prefix="scan", seed=17, total=200_000, extra=()):
     return tmp_path / f"{prefix}_position.txt", tmp_path / f"{prefix}_momentum.txt"
 
 
+def _csv_cell(v) -> str:
+    """Reference CSV text of one cell, written cell by cell."""
+    if v is None:
+        return ""
+    if v is True or v is False:
+        return "true" if v else "false"
+    return "%.12g" % v if isinstance(v, float) else str(v)
+
+
 def _run_python(*argv, preexec_fn=None):
     """Run `python ARGV` in a fresh interpreter that imports this cgwitness."""
     src = str(Path(cgwitness.__file__).resolve().parents[1])
@@ -253,6 +262,28 @@ class TestSweep:
         assert len(uncertainties[0]) == 3 * 2 * 2
         assert uncertainties[0] == uncertainties[1]
 
+    @pytest.mark.parametrize("errors", ["on", "off"])
+    def test_csv_and_json_rows_agree_in_sorted_order(self, tmp_path, errors):
+        pos, mom = _simulate(tmp_path)
+        flags = [
+            "--n-list", "21,1,3", "--m-list", "5,1", "--pairing", "mp",
+            "--witnesses", "naive_discrete,coarse_entropic", "--errors", errors,
+        ]
+        csv_file, json_file = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main(["sweep", str(pos), str(mom), *flags, "--output", str(csv_file)]) == 0
+        assert main(["sweep", str(pos), str(mom), *flags, "--format", "json", "--output", str(json_file)]) == 0
+        payload = json.loads(json_file.read_text())
+        columns = ["n", "m", "pairing", "witness_id", "value", "uncertainty", "detected"]
+        keys = {name: [(r["witness_id"], r["pairing"], r["n"], r["m"]) for r in rows] for name, rows in payload.items()}
+        grid = [(w, "mp", n, m) for w in ("coarse_entropic", "naive_discrete") for n in (1, 3, 21) for m in (1, 5)]
+        assert keys == {"sweep": grid, "diagonal": [key for key in grid if key[2] == key[3]]}
+        assert all((r["uncertainty"] is None) == (errors == "off") for r in payload["sweep"])
+        want = []
+        for name in ("sweep", "diagonal"):
+            want += [f"# {name}", ",".join(columns)]
+            want += [",".join(_csv_cell(row[col]) for col in columns) for row in payload[name]]
+        assert csv_file.read_text() == "\n".join(want) + "\n"
+
 
 class TestDemoFalsePositive:
     def test_analytic_anchor_values(self, capsys):
@@ -394,6 +425,18 @@ class TestExitCodes:
         assert code == 3
         assert "numerical" in capsys.readouterr().err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("errors", ["on", "off"])
+    def test_zero_count_scans_exit_2_in_both_error_modes(self, tmp_path, capsys, errors):
+        geo = cgwitness.OpticalGeometry()
+        zeros = np.zeros((3, 3), dtype=np.int64)
+        for pair, step in (("position", geo.s_x_mm), ("momentum", geo.s_p_mm)):
+            jc = cgwitness.JointCounts(variable_pair=pair, step=step, counts=zeros, geometry=geo)
+            cgwitness.save_joint_counts(jc, tmp_path / f"{pair}.txt")
+        pos, mom = tmp_path / "position.txt", tmp_path / "momentum.txt"
+        assert main(["sweep", str(pos), str(mom), "--errors", errors]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: cannot normalize a histogram with zero counts\n")
 
     @pytest.mark.parametrize(
         "bad_token", [b"9223372036854775808", b"\xff"], ids=["above_int64", "non_utf8"]

@@ -154,6 +154,14 @@ class TestSampling:
         assert jc.step == geometry.s_x_mm
         assert jc.variable_pair == "position"
 
+    def test_joint_counts_peak_stays_near_two_count_matrices(self, entangled_state):
+        # the 965 x 965 position scan of the large-scan benchmark: the Poisson
+        # means take the place of the mass plan, and the counts are kept uncopied
+        geometry = OpticalGeometry(s_x_mm=0.005, s_p_mm=0.002)
+        jc, peak = traced_peak(lambda: sample_joint_counts(entangled_state, geometry, "position", 1e7, 9))
+        assert jc.counts.shape == (965, 965)
+        assert peak < 2.5 * jc.counts.nbytes, peak / jc.counts.nbytes
+
     def test_joint_counts_deterministic(self, entangled_state, geometry):
         a = sample_joint_counts(entangled_state, geometry, "momentum", 1e5, seed=7)
         b = sample_joint_counts(entangled_state, geometry, "momentum", 1e5, seed=7)

@@ -16,7 +16,7 @@ from cgwitness import (
     histogram_variance,
     witness_grid,
 )
-from cgwitness.binning import BinGrid, CountHistogram, DiscreteDistribution, rebin
+from cgwitness.binning import MAX_FACTOR, MAX_INDEX, BinGrid, CountHistogram, DiscreteDistribution, rebin
 from conftest import radial_first_kind_specfun
 
 FLAT = 1.0 / (2.0 * math.e * math.pi)
@@ -119,6 +119,25 @@ class TestRebinProperties:
         r = rebin(h, factor)
         assert r.counts.sum() == h.counts.sum()
         assert r.grid.width == pytest.approx(factor * h.grid.width, rel=1e-12)
+
+    @given(
+        count_histograms(),
+        # odd factors below, at and above the 60-bin ceiling of count_histograms
+        st.one_of(st.integers(min_value=0, max_value=70).map(lambda k: 2 * k + 1), st.just(MAX_FACTOR)),
+    )
+    @example(CountHistogram(BinGrid(1.0, -MAX_INDEX, 2 - MAX_INDEX), np.array([1, 2, 3])), MAX_FACTOR)
+    @example(CountHistogram(BinGrid(1.0, MAX_INDEX - 2, MAX_INDEX), np.array([1, 2, 3])), MAX_FACTOR)
+    @example(CountHistogram(BinGrid(1.0, 3, 9), np.arange(7)), 7)
+    @settings(max_examples=150)
+    def test_each_group_sums_its_member_bins(self, h, factor):
+        half = (factor - 1) // 2
+        want = {}
+        for j, count in zip(h.grid.indices.tolist(), h.counts.tolist()):
+            group = (j + half) // factor
+            want[group] = want.get(group, 0) + count
+        r = rebin(h, factor)
+        assert r.grid.indices.tolist() == sorted(want)
+        assert r.counts.tolist() == [want[group] for group in sorted(want)]
 
     @given(count_histograms(), st.sampled_from([3, 5, 7]))
     @settings(max_examples=80)

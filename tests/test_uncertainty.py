@@ -23,6 +23,7 @@ from cgwitness.cli import DEFAULT_FACTORS
 from cgwitness.errors import (
     ConfigurationError,
     InvalidParameterError,
+    NormalizationError,
     PropagationError,
 )
 from cgwitness import witnesses
@@ -140,6 +141,12 @@ class TestWitnessPipeline:
                 sweep_grid(pos, mom, [1, 3], [1], ErrorModel(replicates=100))
             if field == "micrometer_step_mm":  # the point values stay finite
                 sweep_grid(pos, mom, [1, 3], [1])
+
+    @pytest.mark.parametrize("error_model", [None, ErrorModel(replicates=100)], ids=["point", "errors"])
+    def test_zero_count_scans_are_refused(self, scans, error_model):
+        pos, mom = (JointCounts(jc.variable_pair, jc.step, np.zeros_like(jc.counts), jc.geometry) for jc in scans)
+        with pytest.raises(NormalizationError, match="^cannot normalize a histogram with zero counts$"):
+            sweep_grid(pos, mom, [1, 3], [1], error_model)
 
     def test_rejects_factor_beyond_int64(self, scans):
         with pytest.raises(InvalidParameterError, match="at most"):
