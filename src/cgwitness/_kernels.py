@@ -41,9 +41,11 @@ def batch_entropy(weights, *, totals):
 
     Returns:
         (B,) array of -sum(q ln q) with q = w/total and 0 ln 0 = 0, NaN on
-        zero-total rows.
+        zero-total rows. A weight at or below _ENTROPY_FLOOR is logged as
+        1.0, so its ln is exactly 0: the bits of a log taken only above the
+        floor into zeros, without numpy's slower masked log.
     """
     w = np.asarray(weights, dtype=np.float64)
-    logs = np.log(w, out=np.zeros_like(w), where=w > _ENTROPY_FLOOR)
+    logs = np.log(np.where(w > _ENTROPY_FLOOR, w, 1.0))
     s = np.einsum("bk,bk->b", w, logs)
     return np.log(totals) - s / totals

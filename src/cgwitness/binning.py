@@ -93,8 +93,10 @@ def frozen_counts(counts) -> np.ndarray:
     """A read-only int64 array of an integer count array of any shape.
 
     Refuses a non-integer dtype, a negative count and a total that an int64
-    sum would wrap, by reductions that make no count-sized temporary. A
-    read-only int64 array that owns its memory is taken as it is; every
+    sum would wrap, by reductions that make no count-sized temporary. The
+    largest count times the number of counts bounds the total; only a bound
+    above MAX_COUNT costs a float sum, and a float sum near it an exact one.
+    A read-only int64 array that owns its memory is taken as it is; every
     other array, writable arrays and views included, is copied, so a
     caller's writable array is never frozen or aliased. Its holders keep a
     view of it, which numpy refuses to make writable again.
@@ -102,15 +104,21 @@ def frozen_counts(counts) -> np.ndarray:
     c = np.asarray(counts)
     if not np.issubdtype(c.dtype, np.integer):
         raise InvalidParameterError("counts must be integers")
+    top = int(c.max()) if c.size else 0
     # an unsigned count above int64 would wrap negative in the cast
-    if c.dtype.kind == "u" and c.size and c.max() > MAX_COUNT:
+    if top > MAX_COUNT:
         raise InvalidParameterError(f"counts total above {MAX_COUNT}")
     if c.dtype != np.int64 or c.flags.writeable or not c.flags.owndata:
         c = c.astype(np.int64)
     if c.size and c.min() < 0:
         raise InvalidParameterError("counts must be nonnegative")
-    # the float sum flags candidates; the exact sum of Python ints decides
-    if c.sum(dtype=np.float64) >= 2.0**62 and c.sum(dtype=object) > MAX_COUNT:
+    # top * size bounds the total; above MAX_COUNT the float sum flags
+    # candidates and the exact sum of Python ints decides
+    if (
+        top * c.size > MAX_COUNT
+        and c.sum(dtype=np.float64) >= 2.0**62
+        and c.sum(dtype=object) > MAX_COUNT
+    ):
         raise InvalidParameterError(f"counts total above {MAX_COUNT}")
     c.setflags(write=False)
     return c
@@ -230,10 +238,8 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     """Merge runs of `factor` adjacent bins, keeping a bin centered at 0.
 
     Input bins are conceptually zero-padded (never trimmed) to complete the
-    outermost groups; totals are conserved exactly. Each group is summed by
-    one np.add.reduceat over the offsets where groups start, so nothing is
-    allocated per group member or per padding bin, even at MAX_FACTOR; the
-    fresh sums are frozen, and the result keeps them without a copy.
+    outermost groups; totals are conserved exactly. The groups are those of
+    group_sums, whose fresh sums the result keeps without a copy.
 
     Args:
         h: CountHistogram.
@@ -247,8 +253,24 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     factor = check_factor("rebin factor", factor)
     if factor == 1:
         return h
-    half = (factor - 1) // 2
+    width, g_min, sums = group_sums(h, factor)
+    return CountHistogram(BinGrid(width, g_min, g_min + sums.size - 1), sums)
+
+
+def group_sums(h: CountHistogram, factor: int) -> tuple[float, int, np.ndarray]:
+    """(width, first index, sums) of h's bins merged in runs of factor, an odd int >= 1.
+
+    The sums are h's counts at factor 1, and otherwise a fresh, frozen
+    int64 array: each group is summed by one np.add.reduceat over the
+    offsets where groups start, so nothing is allocated per group member
+    or per padding bin, even at MAX_FACTOR. A width of h's width times
+    factor that overflows is refused as BinGrid refuses it.
+    """
     grid = h.grid
+    if factor == 1:
+        return grid.width, grid.j_min, h.counts
+    width = check_real("bin width", grid.width * factor, 0, closed=False)
+    half = (factor - 1) // 2
     # group J collects j in [J*factor - half, J*factor + half]
     g_min, g_max = (grid.j_min + half) // factor, (grid.j_max + half) // factor
     # offset of the first bin of group g_min + 1, in [1, n_bins): every later
@@ -256,6 +278,6 @@ def rebin(h: CountHistogram, factor: int) -> CountHistogram:
     first = (g_min + 1) * factor - half - grid.j_min
     starts = np.zeros(g_max - g_min + 1, dtype=np.intp)
     starts[1:] = first + factor * np.arange(g_max - g_min)
-    out = np.add.reduceat(h.counts, starts)
-    out.setflags(write=False)
-    return CountHistogram(BinGrid(grid.width * factor, g_min, g_max), out)
+    sums = np.add.reduceat(h.counts, starts)
+    sums.setflags(write=False)
+    return width, g_min, sums

@@ -118,6 +118,10 @@ def bin_center_error(jc: JointCounts, factor: int) -> float:
     return step * math.sqrt(2.0) * (2.0 * factor * math.pi / (g.f3_mm * g.lambda_mm))
 
 
+#: Most cells global_marginal copies at once (512 KiB of int64).
+_MARGINAL_BLOCK = 1 << 16
+
+
 def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     """Sum (sign '+') or difference (sign '-') marginal by diagonal summation.
 
@@ -126,9 +130,13 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     arithmetic, so counts are conserved.
 
     With the columns reversed for '-', cell [r, col] falls in bin
-    k_min + r + col, also after a transpose, so each line of the shorter
-    axis adds into a shifted slice of the output: min(rows, cols) vector
-    adds, no scan-sized temporaries.
+    k_min + r + col, also after a transpose, so line r of the shorter axis
+    adds into the output from offset r on. Lines of L cells go h at a time
+    into a zeroed (h, L + h) buffer; read as h rows of L + h - 1, its first
+    h * (L + h - 1) cells hold line i shifted i cells right, so one column
+    sum gives the block's diagonal sums. h is at most 1/16 of the lines
+    (or 1) and keeps the buffer near _MARGINAL_BLOCK cells, so no temporary
+    is scan-sized.
     """
     if sign not in ("+", "-"):
         raise InvalidParameterError(f"sign must be '+' or '-', got {sign!r}")
@@ -141,8 +149,15 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     sums = np.zeros(rows + cols - 1, dtype=np.int64)
     if rows > cols:
         c = c.T
-    for r, line in enumerate(c):
-        sums[r : r + line.size] += line
+    lines, size = c.shape
+    h = max(1, min(lines // 16, _MARGINAL_BLOCK // (size + 1)))
+    buf = np.zeros((h, size + h), dtype=np.int64)
+    shifted = buf.reshape(-1)[: h * (size + h - 1)].reshape(h, size + h - 1)
+    for r in range(0, lines, h):
+        k = min(h, lines - r)
+        buf[:k, :size] = c[r : r + k]
+        # rows below k read only rows below k of buf, and zeros past column size + k - 2
+        sums[r : r + size + k - 1] += shifted[:k].sum(axis=0)[: size + k - 1]
     width = detector_to_source_scale(jc.geometry, jc.variable_pair)
     return CountHistogram(BinGrid(width, k_min, k_max), sums)
 
@@ -288,8 +303,7 @@ def _parse_counts(fh) -> np.ndarray | None:
             if chunk.count(b"\r") - cr != chunk.count(b"\r\n"):
                 return None
         size += len(chunk)
-        # LF is the one byte below CR in a checked chunk
-        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) < ord("\r"))
+        lines += chunk.count(b"\n")
         tail = chunk[-1:]
     if cr or not size:
         return None

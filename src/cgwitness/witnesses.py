@@ -29,9 +29,10 @@ each marginal is reduced once, every row by `_reduce`, to one
 _MarginalStats whose row 0 is the point estimate and whose rows 1.. are
 its replicates. The point row reduces the marginal's masses: in
 `witness_grid` those of each DiscreteDistribution (`_point_stats`), in
-`sweep_grid` counts / total of each rebinned histogram, the masses
-normalize() would return, with the same float operations but no
-distribution built. ln C is tabulated once per distinct width product
+`sweep_grid` counts / total of the group sums of each rebin factor
+(binning.group_sums, the groups of rebin), the masses normalize() would
+return, with the same float operations but no histogram or distribution
+built. ln C is tabulated once per distinct width product
 (`_log_bound_table`), and `_combine`, the one definition of each witness
 formula, yields the (S, 1 + B) values of one position marginal against
 every momentum marginal.
@@ -51,7 +52,9 @@ _BLOCK_ELEMENTS draws, so the memory does not grow with the number of CPUs.
 Each job owns its random streams and its rows reduce alone, so the output
 bytes do not depend on the number of threads, and the error raised is that
 of the earliest failing job in list order, the one a serial loop would meet
-first; once it is raised, no queued job starts. Without an ErrorModel the
+first; once it is raised, no queued job starts. The root SeedSequence, the
+first use of numpy.random, is built on the calling thread before the pool
+starts, so no job imports numpy.random. Without an ErrorModel the
 jobs are point estimates alone, too short to repay handing each to a pool
 thread, so they run in list order on the calling thread and no thread starts.
 
@@ -71,7 +74,14 @@ from SeedSequence(seed, spawn_key=(a, s, f, 0)) and its center jitter from
 spawn key (a, s, f, 1), where seed is ErrorModel.seed. The counts
 therefore do not depend on the jitter settings, jitter is drawn only when a
 variance witness is requested, and a cell's uncertainty does not depend on
-which other cells are swept.
+which other cells are swept. The jitter is standard_normal draws scaled by
+the center error in place: the values of normal(0, error), which draws
+0 + error * z from the same stream.
+
+numpy.random is reached as np.random at call time, never imported by this
+module: with numpy >= 2 it then loads on first use, so a sweep without an
+ErrorModel, like every other evaluation here, never loads it (nor the
+hashlib and OpenSSL its seeding brings in). numpy 1.x imports it with numpy.
 """
 
 from __future__ import annotations
@@ -82,10 +92,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
 
 from ._kernels import batch_entropy, batch_weighted_moments
-from .binning import DiscreteDistribution, rebin
+from .binning import DiscreteDistribution, check_factor, group_sums
 from .bound import entropic_bound_constant
 from .errors import (
     ConfigurationError,
@@ -283,6 +292,7 @@ def _witness_values(witness_ids, r_stats, s_stats, log_bound) -> dict[str, tuple
     finite raises InvalidParameterError, every value checked before any error.
     """
     kept_s = np.stack([st.kept[1:] for st in s_stats])
+    all_kept_s = kept_s.all()
     out = {}
     for witness_id in witness_ids:
         values, errors = [], []
@@ -290,7 +300,10 @@ def _witness_values(witness_ids, r_stats, s_stats, log_bound) -> dict[str, tuple
             # a copy, not a view: a view would keep every (S, 1 + B) row alive
             values.append(rows[:, 0].copy())
             if kept_s.shape[1]:
-                errors.append(rows[:, 1:].std(axis=-1, ddof=1, where=r.kept[1:] & kept_s))
+                # with every replicate kept the mask selects all, and the std
+                # without it has the same bits in about half the time
+                where = True if all_kept_s and r.kept[1:].all() else r.kept[1:] & kept_s
+                errors.append(rows[:, 1:].std(axis=-1, ddof=1, where=where))
         out[witness_id] = (np.stack(values), np.stack(errors) if errors else None)
     checked = [(values, "") for values, _ in out.values()]
     checked += [(errors, " as a standard error") for _, errors in out.values() if errors is not None]
@@ -350,8 +363,9 @@ class ErrorModel:
         check_seed(self.seed)
 
 
-def _stream(root: SeedSequence, key: tuple) -> Generator:
-    return default_rng(SeedSequence(root.entropy, spawn_key=root.spawn_key + key))
+def _stream(root: np.random.SeedSequence, key: tuple) -> np.random.Generator:
+    seed = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + key)
+    return np.random.default_rng(seed)
 
 
 def _cpu_count() -> int:
@@ -402,28 +416,30 @@ def sweep_grid(
             raise ConfigurationError(f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
     need_variance, need_entropy = _needs(witness_ids)
     em = error_model
-    root = None if em is None else SeedSequence(em.seed)
+    root = None if em is None else np.random.SeedSequence(em.seed)
     # one pool thread per CPU, at most one per marginal of a pairing
     workers = min(_cpu_count(), len(n_list) + len(m_list))
 
     @_NONFINITE_SILENT  # the decorator sets numpy's error state in whichever thread runs it
     def marginal_stats(jc: JointCounts, base, sign: str, f: int) -> _MarginalStats:
         """Statistics of base, jc's sign-diagonal marginal, at factor f: the point, then the replicates."""
-        h = rebin(base, f)
-        total = h.total
-        if total <= 0:  # the refusal of h.normalize()
+        # the groups of rebin(base, f), without a CountHistogram to re-check them
+        f = check_factor("rebin factor", f)
+        width, g_min, counts = group_sums(base, f)
+        total = int(counts.sum())
+        if total <= 0:  # the refusal of normalize()
             raise NormalizationError("cannot normalize a histogram with zero counts")
-        centers = h.grid.centers
-        point = _reduce(h.grid.width, (h.counts / total)[None, :], centers, need_variance, need_entropy)
+        centers = np.arange(g_min, g_min + counts.size) * width  # BinGrid.centers
+        point = _reduce(width, (counts / total)[None, :], centers, need_variance, need_entropy)
         if em is None:
             return point
         parts = [point]
         # resample the occupied bins em.replicates times, a block of
         # rows at a time; each block continues the same two streams,
         # so the draws are those of one (replicates, K) call
-        key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], int(f))
-        occupied = h.counts > 0
-        counts, centers = h.counts[occupied], centers[occupied]
+        key = (_AXIS_INDEX[jc.variable_pair], _SIGN_INDEX[sign], f)
+        occupied = counts > 0
+        counts, centers = counts[occupied], centers[occupied]
         counts_rng = _stream(root, key + (_COUNTS_STREAM,))
         jitter_rng = None
         if need_variance and em.center_jitter:
@@ -435,9 +451,11 @@ def sweep_grid(
             weights = counts_rng.poisson(counts, size=shape).astype(np.float64)
             x = centers
             if jitter_rng is not None:
-                x = jitter_rng.normal(0.0, sigma, shape)
+                # normal(0, sigma) draws 0 + sigma * z one by one: the same values
+                x = jitter_rng.standard_normal(shape)
+                x *= sigma
                 x += centers
-            parts.append(_reduce(h.grid.width, weights, x, need_variance, need_entropy))
+            parts.append(_reduce(width, weights, x, need_variance, need_entropy))
         return _stacked_rows(parts)
 
     log_bound = None

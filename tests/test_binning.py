@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cgwitness import MarginalSpec, bin_mass_oracle, coarse_grained_marginal
 from cgwitness.binning import (
     MAX_BINS,
+    MAX_COUNT,
     MAX_FACTOR,
     MAX_INDEX,
     BinGrid,
@@ -224,6 +227,30 @@ class TestFrozenCounts:
         for build in (frozen_counts, lambda c: CountHistogram(BinGrid(1.0, 0, 0), c)):
             with pytest.raises(InvalidParameterError, match="counts total above"):
                 build(counts)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_refuses_exactly_the_totals_above_int64(self, data):
+        dtype = data.draw(st.sampled_from([np.int64, np.uint64]))
+        top = int(np.iinfo(dtype).max)
+        kind = data.draw(st.sampled_from(["any", "near_max", "one_huge"]))
+        if kind == "any":
+            values = data.draw(st.lists(st.integers(0, top), max_size=8))
+        elif kind == "near_max":
+            # a total of MAX_COUNT - 1, MAX_COUNT or MAX_COUNT + 1, cut into parts
+            total = MAX_COUNT + data.draw(st.sampled_from([-1, 0, 1]))
+            cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=5)))
+            values = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        else:
+            values = [0] * data.draw(st.integers(1, 200))
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.integers(0, top))
+        assume(max(values, default=0) <= top)
+        counts = np.array(values, dtype=dtype)
+        if sum(values) > MAX_COUNT:
+            with pytest.raises(InvalidParameterError, match="counts total above"):
+                frozen_counts(counts)
+        else:
+            assert frozen_counts(counts).tolist() == values
 
     def test_an_unsigned_count_at_int64_max_is_kept(self):
         counts = np.array([2**63 - 1], dtype=np.uint64)

@@ -105,6 +105,39 @@ class TestNystrom:
         ).stdout
         assert out.strip() == "False"
 
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0",
+        reason="numpy 1.x imports numpy.random with numpy itself",
+    )
+    def test_only_commands_that_draw_load_numpy_random(self, tmp_path):
+        # numpy.random brings numpy's bit generators and, through secrets,
+        # hashlib and OpenSSL: ~6 MB of memory that a command without draws
+        # should not pay. An errors-on sweep loads it, so the check can fail.
+        prefix = str(tmp_path / "scan")
+        assert main(["simulate", "--total-counts", "1e4", "--output-prefix", prefix]) == 0
+        code = "\n".join(
+            [
+                "import sys",
+                "from cgwitness.cli import main",
+                "pos, mom, out = sys.argv[1:]",
+                "for argv in (",
+                "    ['sweep', pos, mom, '--errors', 'off', '--output', out],",
+                "    ['bound-table', '--points', '3', '--output', out],",
+                "    ['demo-false-positive', '--analytic', '--output', out],",
+                "):",
+                "    assert main(argv) == 0, argv",
+                "print('numpy.random' in sys.modules)",
+                "assert main(['sweep', pos, mom, '--replicates', '100', '--output', out]) == 0",
+                "print('numpy.random' in sys.modules)",
+            ]
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(bound.__file__).parents[1])}
+        argv = [prefix + "_position.txt", prefix + "_momentum.txt", str(tmp_path / "out")]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.split() == ["False", "True"]
+
 
 class TestValidation:
     @pytest.mark.parametrize("fn", [concentration_eigenvalue, entropic_bound_constant])

@@ -251,6 +251,33 @@ class TestGlobalMarginal:
         assert (minus.grid.j_min, minus.grid.j_max) == (i0 - j0 - cols + 1, i0 - j0 + rows - 1)
         assert minus.counts.tolist() == expected
 
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_blocks_match_trace_of_each_diagonal(self, data):
+        # line counts around multiples of 16 end the lines on every block
+        # fill; small cell budgets set the block height instead of the lines
+        short = data.draw(st.sampled_from([1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65]))
+        long = short + data.draw(st.integers(0, 40))
+        rows, cols = data.draw(st.sampled_from([(short, long), (long, short)]))
+        block = data.draw(st.sampled_from([1, 40, 300, ingest._MARGINAL_BLOCK]))
+        half = MAX_INDEX // 2
+        i0 = data.draw(st.integers(-half, half - rows + 1))
+        j0 = data.draw(st.integers(-half, half - cols + 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        counts = np.random.default_rng(seed).integers(0, 2**40, size=(rows, cols))
+        jc = JointCounts("momentum", 0.05, counts, OpticalGeometry(), i0=i0, j0=j0)
+        with mock.patch.object(ingest, "_MARGINAL_BLOCK", block):
+            plus, minus = global_marginal(jc, "+"), global_marginal(jc, "-")
+        flipped = counts[:, ::-1]
+        assert plus.grid.j_min == i0 + j0
+        assert plus.counts.tolist() == [
+            int(np.trace(flipped, offset=cols - 1 - d)) for d in range(rows + cols - 1)
+        ]
+        assert minus.grid.j_min == i0 - j0 - cols + 1
+        assert minus.counts.tolist() == [
+            int(np.trace(counts, offset=-e)) for e in range(1 - cols, rows)
+        ]
+
     def test_makes_no_scan_sized_temporaries(self, geometry):
         counts = np.random.default_rng(3).integers(0, 50, size=(500, 500))
         jc = JointCounts("position", 0.05, counts, geometry)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgwitness._kernels import batch_entropy, batch_weighted_moments
+from cgwitness._kernels import _ENTROPY_FLOOR, batch_entropy, batch_weighted_moments
 
 
 def _random_batch(seed, rows=64, cols=257):
@@ -40,6 +40,17 @@ class TestBatchReductions:
             q = w[b] / w[b].sum()
             q = q[q > 0]
             assert ent[b] == pytest.approx(-(q * np.log(q)).sum(), rel=1e-12)
+
+    def test_entropy_equals_the_masked_log_formula(self):
+        # ln 1 = 0 in place of each mass at or below the floor: the bits of a
+        # log taken only above it, into zeros
+        w, _, _ = _random_batch(8)
+        tiny = [5e-324, 1e-310, 5e-301, _ENTROPY_FLOOR, 2e-300]
+        w[:, : len(tiny)] = tiny
+        totals = w.sum(axis=1)
+        logs = np.log(w, out=np.zeros_like(w), where=w > _ENTROPY_FLOOR)
+        want = np.log(totals) - np.einsum("bk,bk->b", w, logs) / totals
+        assert np.array_equal(batch_entropy(w, totals=totals), want)
 
     def test_zero_total_row_gives_nan_and_leaves_the_others(self):
         w, x, xb = _random_batch(5, rows=9)

@@ -16,6 +16,7 @@ from cgwitness import (
     OpticalGeometry,
     entropic_bound_constant,
     global_marginal,
+    rebin,
     sample_joint_counts,
     witness_grid,
 )
@@ -489,6 +490,21 @@ def _traced_peak_per_replicate() -> float:
     return peak / em.replicates
 
 
+class TestRebinnedWidth:
+    @pytest.mark.parametrize("errors", [False, True])
+    def test_an_overflowing_width_is_refused_as_rebin_refuses_it(self, errors):
+        geometry = OpticalGeometry(s_x_mm=1e300)
+        counts = np.ones((5, 5), dtype=np.int64)
+        pos = JointCounts("position", 0.05, counts, geometry)
+        mom = JointCounts("momentum", 0.05, counts, geometry)
+        f = 10**9 + 1  # the base width is 5e299
+        with pytest.raises(InvalidParameterError) as want:
+            rebin(global_marginal(pos, "+"), f)
+        with pytest.raises(InvalidParameterError) as got:
+            sweep_grid(pos, mom, [1, f], [1], ErrorModel(replicates=100) if errors else None)
+        assert str(got.value) == str(want.value) == "bin width must be a finite positive number, got inf"
+
+
 def _with_workers(monkeypatch, workers):
     """Make sweep_grid see `workers` CPUs, whatever this host has."""
     monkeypatch.setattr(witnesses, "_cpu_count", lambda: workers)
@@ -629,3 +645,33 @@ class TestWorkers:
         for key, (values, unc) in threaded.items():
             assert np.array_equal(values, serial[key][0]), key
             assert np.array_equal(unc, serial[key][1]), key
+
+
+class TestSameBitsAsTheFullForms:
+    """The shortcuts of the replicate path give the bits of the forms they replace."""
+
+    @pytest.mark.parametrize("replicates", [100, 8191, 8193, 100_000])
+    def test_std_without_a_mask_equals_an_all_true_mask(self, replicates):
+        # _witness_values drops the mask when every replicate was kept
+        rng = np.random.default_rng(replicates)
+        rows = rng.normal(size=(6, replicates)) * rng.uniform(1e-3, 1e3, size=(6, 1))
+        rows += rng.uniform(-10.0, 10.0, size=(6, 1))
+        masked = rows.std(axis=-1, ddof=1, where=np.ones(rows.shape, dtype=bool))
+        assert np.array_equal(rows.std(axis=-1, ddof=1), masked)
+
+    def test_jitter_from_standard_normal_equals_normal(self, scans):
+        # normal(0, sigma) is 0 + sigma * z, so scaling standard_normal in
+        # place draws the same centers from the same stream
+        pos, _ = scans
+        em = ErrorModel(center_jitter=True, replicates=20_000)
+        root = np.random.SeedSequence(em.seed)
+        for f in (1, 7, 21):
+            centers = rebin(global_marginal(pos, "+"), f).grid.centers
+            sigma = bin_center_error(pos, f)
+            key = (0, 0, f, witnesses._JITTER_STREAM)
+            shape = (em.replicates, centers.size)
+            want = witnesses._stream(root, key).normal(0.0, sigma, shape) + centers
+            got = witnesses._stream(root, key).standard_normal(shape)
+            got *= sigma
+            got += centers
+            assert np.array_equal(got, want), f
