@@ -118,8 +118,10 @@ def bin_center_error(jc: JointCounts, factor: int) -> float:
     return step * math.sqrt(2.0) * (2.0 * factor * math.pi / (g.f3_mm * g.lambda_mm))
 
 
-#: Most cells global_marginal copies at once (512 KiB of int64).
-_MARGINAL_BLOCK = 1 << 16
+#: Most cells global_marginal copies at once: 128 KiB of int64, below
+#: glibc's default mmap threshold (see _CHUNK). With 512 KiB the large_scan
+#: sweep peaked 0.16 MB higher, and was not resolved as faster.
+_MARGINAL_BLOCK = 1 << 14
 
 
 def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
@@ -134,8 +136,8 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     adds into the output from offset r on. Lines of L cells go h at a time
     into a zeroed (h, L + h) buffer; read as h rows of L + h - 1, its first
     h * (L + h - 1) cells hold line i shifted i cells right, so one column
-    sum gives the block's diagonal sums. h is at most 1/16 of the lines
-    (or 1) and keeps the buffer near _MARGINAL_BLOCK cells, so no temporary
+    sum gives the block's diagonal sums. h is at most 1/16 of the lines and
+    keeps the buffer within _MARGINAL_BLOCK cells, or is 1, so no temporary
     is scan-sized.
     """
     if sign not in ("+", "-"):
@@ -150,7 +152,8 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     if rows > cols:
         c = c.T
     lines, size = c.shape
-    h = max(1, min(lines // 16, _MARGINAL_BLOCK // (size + 1)))
+    most = lines // 16
+    h = max(1, min(most, _MARGINAL_BLOCK // (size + most)))
     buf = np.zeros((h, size + h), dtype=np.int64)
     shifted = buf.reshape(-1)[: h * (size + h - 1)].reshape(h, size + h - 1)
     for r in range(0, lines, h):
