@@ -159,7 +159,8 @@ def global_marginal(jc: JointCounts, sign: str) -> CountHistogram:
     for r in range(0, lines, h):
         k = min(h, lines - r)
         buf[:k, :size] = c[r : r + k]
-        # rows below k read only rows below k of buf, and zeros past column size + k - 2
+        # row i < k of shifted reads rows i - 1 (its padding) and i of buf alone,
+        # and is 0 past column size + k - 2
         sums[r : r + size + k - 1] += shifted[:k].sum(axis=0)[: size + k - 1]
     width = detector_to_source_scale(jc.geometry, jc.variable_pair)
     return CountHistogram(BinGrid(width, k_min, k_max), sums)
